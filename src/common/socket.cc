@@ -133,10 +133,6 @@ void Socket::ShutdownBoth() {
   if (fd_ >= 0) shutdown(fd_, SHUT_RDWR);
 }
 
-void Socket::ShutdownRead() {
-  if (fd_ >= 0) shutdown(fd_, SHUT_RD);
-}
-
 void Socket::Close() {
   if (fd_ >= 0) {
     close(fd_);

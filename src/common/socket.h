@@ -95,11 +95,6 @@ class Socket {
   /// on this socket with "connection closed". The fd stays owned.
   void ShutdownBoth();
 
-  /// shutdown(SHUT_RD): wakes a thread blocked in ReadFull (it sees a
-  /// clean close) while the write direction keeps flushing — the graceful
-  /// drain: in-flight replies still go out, no new requests are read.
-  void ShutdownRead();
-
   void Close();
 
  private:

@@ -61,55 +61,4 @@ std::vector<Result<StorageQueryResult>> QueryEngine::ExecuteBatch(
   return ExecuteBatch(raw, options, stats);
 }
 
-Result<StorageQueryResult> StorageQueryExecutor::FullScan(
-    const PointTableBinding& binding, const Polyhedron& query) {
-  FullScanPath path(binding, query);
-  return ExecuteAccessPath(&path);
-}
-
-Result<StorageQueryResult> StorageQueryExecutor::ExecuteKdPlan(
-    const PointTableBinding& binding, const KdTreeIndex& index,
-    const Polyhedron& query) {
-  KdTreePath path(binding, index, query);
-  return ExecuteAccessPath(&path);
-}
-
-Result<StorageQueryResult> StorageQueryExecutor::GridSample(
-    const PointTableBinding& binding, const LayeredGridIndex& index,
-    const Box& query, uint64_t n, GridQueryStats* grid_stats) {
-  GridSamplePath path(binding, index, query, n);
-  QueryStats stats;
-  auto result = ExecuteAccessPath(&path, &stats);
-  if (result.ok() && grid_stats != nullptr) {
-    grid_stats->layers_visited = static_cast<uint32_t>(stats.plan_steps);
-    grid_stats->cells_visited = stats.cells_full + stats.cells_partial;
-    grid_stats->points_scanned = stats.rows_scanned;
-    grid_stats->points_returned = stats.rows_emitted;
-  }
-  return result;
-}
-
-Result<StorageQueryResult> StorageQueryExecutor::TableSampleTopN(
-    const PointTableBinding& binding, const Box& query, double percent,
-    uint64_t n, Rng& rng) {
-  TableSamplePath path(binding, query, percent, n, &rng);
-  return ExecuteAccessPath(&path);
-}
-
-Result<StorageQueryResult> StorageQueryExecutor::ExecuteVoronoi(
-    const PointTableBinding& binding, const VoronoiIndex& index,
-    const Polyhedron& query, VoronoiQueryStats* voronoi_stats) {
-  VoronoiPath path(binding, index, query);
-  QueryStats stats;
-  auto result = ExecuteAccessPath(&path, &stats);
-  if (result.ok() && voronoi_stats != nullptr) {
-    voronoi_stats->cells_inside = stats.cells_full;
-    voronoi_stats->cells_outside = stats.cells_pruned;
-    voronoi_stats->cells_partial = stats.cells_partial;
-    voronoi_stats->points_tested = stats.rows_tested;
-    voronoi_stats->points_emitted = stats.rows_emitted;
-  }
-  return result;
-}
-
 }  // namespace mds

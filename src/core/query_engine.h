@@ -6,13 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "core/access_path.h"
-#include "core/kdtree.h"
-#include "core/layered_grid.h"
-#include "core/voronoi_index.h"
-#include "geom/polyhedron.h"
-#include "storage/table.h"
 
 namespace mds {
 
@@ -57,49 +51,6 @@ class QueryEngine {
       std::vector<std::unique_ptr<AccessPath>> paths,
       const BatchOptions& options = BatchOptions(),
       std::vector<QueryStats>* stats = nullptr);
-};
-
-/// Legacy façade over the AccessPath / RangeScanner execution layer.
-///
-/// Each entry point builds the corresponding access path and runs it
-/// through ExecuteAccessPath — the five methods share one physical scan
-/// loop and one instrumentation struct (QueryStats). New code should use
-/// the access paths (or QueryPlanner) directly; these wrappers keep the
-/// original signatures stable for existing tests, benches and examples.
-///
-/// Thread safety: all entry points are stateless and thread-safe given a
-/// thread-safe BufferPool behind the binding — each call builds its own
-/// path and scanner. GridSample/TableSampleTopN mutate caller-supplied
-/// stats/rng, which must not be shared across concurrent calls.
-class StorageQueryExecutor {
- public:
-  /// Full-table scan with a per-row polyhedron predicate.
-  static Result<StorageQueryResult> FullScan(const PointTableBinding& binding,
-                                             const Polyhedron& query);
-
-  /// Executes a kd-tree query plan: `full` row ranges are emitted without
-  /// per-row tests (the post-order BETWEEN case); `partial` ranges are
-  /// filtered by the polyhedron.
-  static Result<StorageQueryResult> ExecuteKdPlan(
-      const PointTableBinding& binding, const KdTreeIndex& index,
-      const Polyhedron& query);
-
-  /// §3.1 sample query over a table clustered by (Layer, ContainedBy):
-  /// returns at least n box points following the data distribution.
-  static Result<StorageQueryResult> GridSample(
-      const PointTableBinding& binding, const LayeredGridIndex& index,
-      const Box& query, uint64_t n, GridQueryStats* grid_stats = nullptr);
-
-  /// The paper's pre-grid baseline: TABLESAMPLE SYSTEM(percent) + TOP(n)
-  /// with a box predicate (E3).
-  static Result<StorageQueryResult> TableSampleTopN(
-      const PointTableBinding& binding, const Box& query, double percent,
-      uint64_t n, Rng& rng);
-
-  /// Voronoi-index execution over a table clustered by cell tag.
-  static Result<StorageQueryResult> ExecuteVoronoi(
-      const PointTableBinding& binding, const VoronoiIndex& index,
-      const Polyhedron& query, VoronoiQueryStats* voronoi_stats = nullptr);
 };
 
 }  // namespace mds

@@ -1,7 +1,6 @@
 #include "server/coordinator.h"
 
 #include <algorithm>
-#include <deque>
 #include <random>
 #include <utility>
 
@@ -44,6 +43,31 @@ bool RetryableBackendFailure(const Status& status) {
 bool ExhaustionFailure(const Status& status) {
   return RetryableBackendFailure(status) ||
          status.code() == StatusCode::kDeadlineExceeded;
+}
+
+/// Leg-pool size: fanout_threads, or derived from the replica count —
+/// legs block on network I/O (bounded by the sub-request deadline), so
+/// the pool is sized to the replicas, not the cores.
+unsigned LegThreads(const ShardMap& map, const CoordinatorConfig& config) {
+  if (config.fanout_threads != 0) return config.fanout_threads;
+  size_t total_replicas = 0;
+  for (const auto& replicas : map.shards) total_replicas += replicas.size();
+  return static_cast<unsigned>(
+      std::min<size_t>(32, std::max<size_t>(4, 2 * total_replicas)));
+}
+
+/// The front end mdsc runs on: mdsd's, minus the response cache (nothing
+/// would invalidate it when a backend reloads behind mdsc's back), minus
+/// pipelined ganging (every request scatters on its own) and minus worker
+/// threads (Coordinator::ExecutesInline: legs run on the leg pool).
+ServerConfig FrontEndConfig(const CoordinatorConfig& config) {
+  ServerConfig front;
+  front.port = config.port;
+  front.max_in_flight = config.max_in_flight;
+  front.max_connections = config.max_connections;
+  front.idle_timeout_ms = config.idle_timeout_ms;
+  front.pipeline_batch_max = 1;
+  return front;
 }
 
 protocol::QueryReply FromClientResult(QueryClient::QueryResult result) {
@@ -189,77 +213,14 @@ protocol::QueryReply MergeQueryReplies(
   return out;
 }
 
-// --- fan-out pool ----------------------------------------------------------
-
-/// A plain queue-based thread pool. TaskPool (common/parallel.h) is a
-/// fork/join pool whose Run() admits one caller at a time — exactly wrong
-/// for many concurrent handler threads each scattering a few jobs — so the
-/// coordinator brings its own. Jobs block on network I/O (bounded by the
-/// sub-request deadline), so the pool is sized to the replica count, not
-/// the core count.
-class Coordinator::FanoutPool {
- public:
-  explicit FanoutPool(unsigned threads) {
-    threads_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-      threads_.emplace_back([this] { Work(); });
-    }
-  }
-
-  ~FanoutPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void Submit(std::function<void()> fn) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(fn));
-    }
-    cv_.notify_one();
-  }
-
- private:
-  void Work() {
-    for (;;) {
-      std::function<void()> fn;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-        // Drain the queue even when stopping: a handler may still be
-        // waiting on a queued attempt.
-        if (queue_.empty()) return;
-        fn = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      fn();
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  bool stop_ = false;
-  std::vector<std::thread> threads_;
-};
-
-/// One client connection: its handler thread reads frames from it; the
-/// socket is shared with Shutdown (read-side shutdown only, see Socket's
-/// thread-safety note).
-struct Coordinator::ClientConn {
-  Socket sock;
-};
-
 // --- lifecycle -------------------------------------------------------------
 
 Coordinator::Coordinator(const ShardMap& map, const CoordinatorConfig& config)
     : config_(config),
+      leg_threads_(LegThreads(map, config)),
       rng_(config.jitter_seed != 0 ? config.jitter_seed
-                                   : std::random_device{}()) {
+                                   : std::random_device{}()),
+      front_(this, FrontEndConfig(config)) {
   shards_.reserve(map.shards.size());
   for (const auto& replicas : map.shards) {
     auto shard = std::make_unique<Shard>();
@@ -280,7 +241,9 @@ Coordinator::Coordinator(const ShardMap& map, const CoordinatorConfig& config)
 Coordinator::~Coordinator() { Shutdown(); }
 
 Status Coordinator::Start() {
-  if (started_) return Status::FailedPrecondition("Coordinator started twice");
+  if (legs_ != nullptr) {
+    return Status::FailedPrecondition("Coordinator started twice");
+  }
   if (shards_.empty()) {
     return Status::InvalidArgument("Coordinator: empty shard map");
   }
@@ -332,207 +295,54 @@ Status Coordinator::Start() {
     served_rows_ += shard->served_rows;
   }
 
-  unsigned fanout = config_.fanout_threads;
-  if (fanout == 0) {
-    size_t total_replicas = 0;
-    for (const auto& shard : shards_) total_replicas += shard->replicas.size();
-    fanout = static_cast<unsigned>(
-        std::min<size_t>(32, std::max<size_t>(4, 2 * total_replicas)));
-  }
-  fanout_ = std::make_unique<FanoutPool>(fanout);
-
-  auto listener = TcpListener::Listen(config_.port);
-  if (!listener.ok()) return listener.status();
-  listener_ = std::move(*listener);
-  port_ = listener_.port();
-  state_.store(State::kRunning);
-  stop_accept_.store(false);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  started_ = true;
-  return Status::OK();
-}
-
-void Coordinator::RequestDrain() {
-  State expected = State::kRunning;
-  state_.compare_exchange_strong(expected, State::kDraining);
+  legs_ = std::make_unique<TaskPool>(leg_threads_);
+  legs_->Submit([] {});  // start every leg thread now, like the front end
+  Status started = front_.Start();
+  if (!started.ok()) legs_.reset();
+  return started;
 }
 
 void Coordinator::Shutdown() {
-  if (!started_) return;
-  RequestDrain();
-
-  stop_accept_.store(true);
-  listener_.Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // Unblock every handler's read loop; in-flight replies still flush
-  // (the write direction stays open until the handler closes its socket).
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& conn : conns_) conn->sock.ShutdownRead();
-  }
-  for (std::thread& t : handler_threads_) {
-    if (t.joinable()) t.join();
-  }
-  handler_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
-
-  fanout_.reset();  // drains queued attempts, joins pool threads
+  // The front end drains admitted fan-outs, flushes their replies and
+  // joins its threads; then the leg pool runs any still-queued (losing
+  // hedge) legs and joins.
+  front_.Shutdown();
+  legs_.reset();
   for (auto& shard : shards_) {
     for (auto& replica : shard->replicas) {
       std::lock_guard<std::mutex> lock(replica->mu);
       replica->idle.clear();
     }
   }
-  state_.store(State::kStopped);
-  started_ = false;
 }
 
-void Coordinator::AcceptLoop() {
-  while (!stop_accept_.load()) {
-    auto sock = listener_.Accept(IoDeadline::After(250));
-    if (!sock.ok()) continue;  // deadline tick or listener shutdown
-    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    size_t open = 0;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      open = conns_.size();
+void Coordinator::Execute(Batch* batch) {
+  // On the I/O thread, so nothing here blocks: a query only decodes and
+  // submits its legs, and a reload — whose broadcast waits out every
+  // backend's load — runs on the leg pool.
+  for (Request& req : *batch) {
+    if (req.header.type == MessageType::kReload) {
+      legs_->Submit([this, req = std::move(req)] { HandleReload(req); });
+    } else {
+      StartScatter(std::move(req));
     }
-    if (draining() || open >= config_.max_connections) {
-      counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-      continue;  // Socket destructor closes the connection
-    }
-    (void)sock->SetNoDelay();
-    auto conn = std::make_shared<ClientConn>();
-    conn->sock = std::move(*sock);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    handler_threads_.emplace_back(
-        [this, conn]() mutable { HandleConnection(std::move(conn)); });
   }
 }
 
-void Coordinator::HandleConnection(std::shared_ptr<ClientConn> conn) {
-  for (;;) {
-    std::vector<uint8_t> payload;
-    const IoDeadline deadline =
-        config_.idle_timeout_ms == 0
-            ? IoDeadline::Infinite()
-            : IoDeadline::After(config_.idle_timeout_ms);
-    uint64_t frame_bytes = 0;
-    Status st =
-        protocol::ReadFrame(&conn->sock, deadline, &payload, &frame_bytes);
-    counters_.bytes_in.fetch_add(frame_bytes, std::memory_order_relaxed);
-    if (!st.ok()) {
-      if (st.code() == StatusCode::kInvalidArgument ||
-          st.code() == StatusCode::kCorruption) {
-        counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      }
-      break;  // clean close, idle timeout, mid-frame close or violation
-    }
-    if (!HandleFrame(conn.get(), std::move(payload))) break;
-  }
-  counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Deregister before touching the fd: Shutdown() calls ShutdownRead()
-    // on every socket still registered (under conns_mu_), so the socket
-    // must leave the registry before Close() invalidates it.
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.erase(std::remove(conns_.begin(), conns_.end(), conn), conns_.end());
-  }
-  conn->sock.Close();
-}
-
-bool Coordinator::HandleFrame(ClientConn* conn, std::vector<uint8_t> payload) {
-  WireReader r(payload);
-  MessageHeader header;
-  if (!protocol::DecodeMessageHeader(&r, &header).ok()) {
-    // Bad version or truncated header: the stream cannot be trusted.
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  counters_.requests_total.fetch_add(1, std::memory_order_relaxed);
-
-  if (header.type == MessageType::kHealth) {
-    HandleHealth(conn, header);
-    return true;
-  }
-  if (header.type == MessageType::kStats) {
-    HandleStats(conn, header);
-    return true;
-  }
-  if (header.type == MessageType::kReload) {
-    // Admin request: body is the deadline prefix + the reload body.
-    const uint32_t deadline_ms = r.GetU32();
-    if (!r.ok()) {
-      counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    protocol::ReloadRequest reload;
-    Status decoded = protocol::DecodeReloadRequest(&r, &reload);
-    if (decoded.ok()) decoded = r.ExpectEnd();
-    if (!decoded.ok()) {
-      WriteReplyFrame(conn, header, decoded, 0, nullptr);
-      return true;
-    }
-    HandleReload(conn, header, reload, deadline_ms);
-    return true;
-  }
-  if (protocol::TypeIndex(header.type) >= protocol::kNumRequestTypes) {
-    WriteReplyFrame(conn, header,
-                    Status::InvalidArgument(
-                        "unknown message type " +
-                        std::to_string(static_cast<int>(header.type))),
-                    0, nullptr);
-    return true;
-  }
-
-  // Query request: the body starts with the u32 deadline prefix.
-  const uint32_t deadline_ms = r.GetU32();
-  if (!r.ok()) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const size_t body_offset = payload.size() - r.remaining();
-  HandleQuery(conn, header, payload, body_offset, deadline_ms);
-  return true;
-}
-
-void Coordinator::HandleHealth(ClientConn* conn, const MessageHeader& header) {
-  const auto arrival = std::chrono::steady_clock::now();
+protocol::HealthReply Coordinator::Health(const Request&) const {
   protocol::HealthReply reply;
-  reply.draining = draining() ? 1 : 0;
   reply.served_rows = served_rows_;
   reply.dim = dim_;
-  const uint32_t flags = reply.draining ? protocol::kFlagDraining : 0;
-  WriteReplyFrame(conn, header, Status::OK(), flags, [&](WireWriter* w) {
-    protocol::EncodeHealthReply(reply, w);
-  });
-  RecordReply(header.type, arrival, Status::OK());
+  return reply;
 }
 
-void Coordinator::HandleStats(ClientConn* conn, const MessageHeader& header) {
-  // Count this reply before snapshotting so the snapshot includes the stats
-  // request itself, matching mdsd's accounting.
-  RecordReply(header.type, std::chrono::steady_clock::now(), Status::OK());
-  const protocol::ServerStatsSnapshot snapshot = Stats();
-  WriteReplyFrame(conn, header, Status::OK(), 0, [&](WireWriter* w) {
-    protocol::EncodeServerStats(snapshot, w);
-  });
-}
-
-void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
-                               const protocol::ReloadRequest& request,
-                               uint32_t deadline_ms) {
-  const auto arrival = std::chrono::steady_clock::now();
-  if (draining()) {
-    counters_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable("coordinator is draining");
-    WriteReplyFrame(conn, header, shed, protocol::kFlagDraining, nullptr);
-    RecordReply(header.type, arrival, shed);
+void Coordinator::HandleReload(const Request& req) {
+  WireReader r(req.body(), req.body_size());
+  protocol::ReloadRequest request;
+  Status decoded = protocol::DecodeReloadRequest(&r, &request);
+  if (decoded.ok()) decoded = r.ExpectEnd();
+  if (!decoded.ok()) {
+    front_.CompleteError(req, decoded);
     return;
   }
   // One fleet reload at a time: concurrent broadcasts would interleave
@@ -540,7 +350,7 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
   std::lock_guard<std::mutex> lock(reload_mu_);
 
   QueryOptions options;
-  options.deadline_ms = deadline_ms;  // 0 = the client's long default bound
+  options.deadline_ms = req.deadline_ms;  // 0 = the client's long default
 
   // Broadcast to every replica of every shard over fresh connections
   // (reloads are rare, and a dataset build would hold a pooled connection
@@ -570,11 +380,10 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
         }
       }
       if (!failed.ok()) {
-        const Status st = AnnotateStatus(
-            failed, "Coordinator: reload of shard " + std::to_string(s) +
-                        " replica " + std::to_string(i) + " failed");
-        WriteReplyFrame(conn, header, st, 0, nullptr);
-        RecordReply(header.type, arrival, st);
+        front_.CompleteError(
+            req, AnnotateStatus(failed, "Coordinator: reload of shard " +
+                                            std::to_string(s) + " replica " +
+                                            std::to_string(i) + " failed"));
         return;
       }
     }
@@ -583,83 +392,9 @@ void Coordinator::HandleReload(ClientConn* conn, const MessageHeader& header,
   }
   served_rows_.store(merged.served_rows);
 
-  WriteReplyFrame(conn, header, Status::OK(), 0, [&](WireWriter* w) {
-    protocol::EncodeReloadReply(merged, w);
-  });
-  RecordReply(header.type, arrival, Status::OK());
-}
-
-void Coordinator::HandleQuery(ClientConn* conn, const MessageHeader& header,
-                              const std::vector<uint8_t>& payload,
-                              size_t body_offset, uint32_t deadline_ms) {
-  const auto arrival = std::chrono::steady_clock::now();
-
-  if (draining()) {
-    counters_.rejected_draining.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable("coordinator is draining");
-    WriteReplyFrame(conn, header, shed, protocol::kFlagDraining, nullptr);
-    RecordReply(header.type, arrival, shed);
-    return;
-  }
-  const size_t in_flight = in_flight_.fetch_add(1) + 1;
-  uint64_t peak = counters_.in_flight_peak.load(std::memory_order_relaxed);
-  while (in_flight > peak &&
-         !counters_.in_flight_peak.compare_exchange_weak(peak, in_flight)) {
-  }
-  if (in_flight > config_.max_in_flight) {
-    in_flight_.fetch_sub(1);
-    counters_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    const Status shed = Status::Unavailable(
-        "coordinator overloaded: " + std::to_string(config_.max_in_flight) +
-        " requests in flight");
-    WriteReplyFrame(conn, header, shed, 0, nullptr);
-    RecordReply(header.type, arrival, shed);
-    return;
-  }
-
-  SubRequest req;
-  req.arrival = arrival;
-  Status st = DecodeSubRequest(header, payload.data() + body_offset,
-                               payload.size() - body_offset, deadline_ms, &req);
-  protocol::QueryReply merged;
-  std::vector<protocol::WireNeighbor> neighbors;
-  ScatterOutcome outcome;
-  if (st.ok()) {
-    st = ScatterGather(req, &merged, &neighbors, &outcome);
-  }
-  in_flight_.fetch_sub(1);
-
-  if (!st.ok()) {
-    WriteReplyFrame(conn, header, st, 0, nullptr);
-    RecordReply(header.type, arrival, st);
-    return;
-  }
-  // A partial merge is a degraded answer: both flags, so old clients that
-  // only know kFlagDegraded still see "incomplete", and new clients can
-  // tell "shards missing" from "pages skipped".
-  const uint32_t partial_flags =
-      outcome.partial ? (protocol::kFlagPartial | protocol::kFlagDegraded) : 0;
-  if (header.type == MessageType::kKnn) {
-    protocol::KnnReply reply;
-    reply.neighbors = std::move(neighbors);
-    reply.shards_answered = outcome.answered;
-    reply.shards_total = outcome.total;
-    reply.shards_mask = outcome.mask;
-    WriteReplyFrame(conn, header, st, partial_flags, [&](WireWriter* w) {
-      protocol::EncodeKnnReply(reply, w);
-    });
-  } else {
-    merged.shards_answered = outcome.answered;
-    merged.shards_total = outcome.total;
-    merged.shards_mask = outcome.mask;
-    merged.degraded = merged.degraded || outcome.partial;
-    const uint32_t flags =
-        (merged.degraded ? protocol::kFlagDegraded : 0) | partial_flags;
-    WriteReplyFrame(conn, header, st, flags, [&](WireWriter* w) {
-      protocol::EncodeQueryReply(merged, w);
-    });
-  }
-  RecordReply(header.type, arrival, st);
+  front_.Complete(
+      req, Status::OK(), 0, /*cacheable_reply=*/false,
+      [&](WireWriter* w) { protocol::EncodeReloadReply(merged, w); });
 }
 
 Status Coordinator::DecodeSubRequest(const MessageHeader& header,
@@ -685,11 +420,7 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
       protocol::BoxQueryRequest query;
       MDS_RETURN_NOT_OK(protocol::DecodeBoxQueryRequest(&r, &query));
       MDS_RETURN_NOT_OK(r.ExpectEnd());
-      if (query.lo.size() != dim_) {
-        return Status::InvalidArgument(
-            "query dimension " + std::to_string(query.lo.size()) +
-            " != served dimension " + std::to_string(dim_));
-      }
+      MDS_RETURN_NOT_OK(protocol::CheckQueryDimension(query.lo.size(), dim_));
       out->lo = std::move(query.lo);
       out->hi = std::move(query.hi);
       out->limit = query.limit;
@@ -699,11 +430,7 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
       protocol::KnnRequest knn;
       MDS_RETURN_NOT_OK(protocol::DecodeKnnRequest(&r, &knn));
       MDS_RETURN_NOT_OK(r.ExpectEnd());
-      if (knn.point.size() != dim_) {
-        return Status::InvalidArgument(
-            "query dimension " + std::to_string(knn.point.size()) +
-            " != served dimension " + std::to_string(dim_));
-      }
+      MDS_RETURN_NOT_OK(protocol::CheckQueryDimension(knn.point.size(), dim_));
       // The global bound check lives here: each shard only knows its own
       // rows, so a k between one shard's rows and the total is valid
       // globally while invalid locally (the scatter clamps per-shard k).
@@ -720,11 +447,7 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
       protocol::TableSampleRequest sample;
       MDS_RETURN_NOT_OK(protocol::DecodeTableSampleRequest(&r, &sample));
       MDS_RETURN_NOT_OK(r.ExpectEnd());
-      if (sample.lo.size() != dim_) {
-        return Status::InvalidArgument(
-            "query dimension " + std::to_string(sample.lo.size()) +
-            " != served dimension " + std::to_string(dim_));
-      }
+      MDS_RETURN_NOT_OK(protocol::CheckQueryDimension(sample.lo.size(), dim_));
       out->lo = std::move(sample.lo);
       out->hi = std::move(sample.hi);
       out->percent = sample.percent;
@@ -737,94 +460,79 @@ Status Coordinator::DecodeSubRequest(const MessageHeader& header,
   }
 }
 
-Status Coordinator::ScatterGather(
-    const SubRequest& req, protocol::QueryReply* merged,
-    std::vector<protocol::WireNeighbor>* neighbors, ScatterOutcome* outcome) {
-  // Attempt jobs (and hedges) can outlive this frame when a late attempt
-  // loses the race, so the request template they read is shared, not
-  // stack-owned.
-  auto shared_req = std::make_shared<const SubRequest>(req);
+void Coordinator::StartScatter(Request client) {
+  // Attempt jobs (and hedges) can outlive the reply when a late attempt
+  // loses the race, so the scatter state they share is refcounted.
   auto scatter = std::make_shared<Scatter>();
+  scatter->req.arrival = client.arrival;
+  const Status decoded =
+      DecodeSubRequest(client.header, client.body(), client.body_size(),
+                       client.deadline_ms, &scatter->req);
+  if (!decoded.ok()) {
+    front_.CompleteError(client, decoded);
+    return;
+  }
+  scatter->client = std::move(client);
   scatter->calls.resize(shards_.size());
 
   // Per-shard kNN clamp: a shard cannot answer a k beyond its own rows.
-  std::vector<uint32_t> shard_k(shards_.size(), req.k);
-  if (req.type == MessageType::kKnn) {
+  scatter->shard_k.assign(shards_.size(), scatter->req.k);
+  if (scatter->req.type == MessageType::kKnn) {
     for (size_t s = 0; s < shards_.size(); ++s) {
-      shard_k[s] = static_cast<uint32_t>(
-          std::min<uint64_t>(req.k, shards_[s]->served_rows));
+      scatter->shard_k[s] = static_cast<uint32_t>(
+          std::min<uint64_t>(scatter->req.k, shards_[s]->served_rows));
     }
   }
 
+  // Every call is set up before the first attempt can complete one.
+  // Attempts are bounded by the sub-request deadline (plus the client's
+  // exchange slack), so every call completes in bounded time.
+  for (ShardCall& call : scatter->calls) call.outstanding = 1;
   const auto now = std::chrono::steady_clock::now();
   for (size_t s = 0; s < shards_.size(); ++s) {
-    ShardCall& call = scatter->calls[s];
-    call.outstanding = 1;
+    legs_->Submit([this, scatter, s] { RunAttempt(scatter, s, false); });
+    // The hedge timer waits in the leg pool's timed queue, holding no
+    // thread.
     std::chrono::microseconds delay{0};
-    call.hedge_possible = HedgeDelay(*shards_[s], &delay);
-    if (call.hedge_possible) call.hedge_at = now + delay;
-    fanout_->Submit([this, s, shared_req, k = shard_k[s], scatter] {
-      RunAttempt(s, /*replica_offset=*/0, shared_req, k, scatter, s,
-                 /*is_hedge=*/false);
-    });
+    if (HedgeDelay(*shards_[s], &delay)) {
+      legs_->SubmitAt(now + delay,
+                      [this, scatter, s] { MaybeHedge(scatter, s); });
+    }
   }
+}
 
-  // Gather, firing hedges as their delays expire. Attempts are bounded by
-  // the sub-request deadline (plus the client's exchange slack), so every
-  // call completes in bounded time.
+void Coordinator::MaybeHedge(const std::shared_ptr<Scatter>& scatter,
+                             size_t s) {
+  {
+    std::lock_guard<std::mutex> lock(scatter->mu);
+    ShardCall& call = scatter->calls[s];
+    if (call.done) return;
+    // A hedge is an extra leg like any failover: it needs deadline budget
+    // left to be useful and a retry token to be affordable.
+    uint32_t leg_deadline = 0;
+    if (!LegDeadline(scatter->req, &leg_deadline)) return;
+    if (!SpendRetryToken(shards_[s].get())) {
+      shards_[s]->retries_denied.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    ++call.outstanding;
+    shards_[s]->hedges_fired.fetch_add(1, std::memory_order_relaxed);
+  }
+  RunAttempt(scatter, s, /*is_hedge=*/true);
+}
+
+void Coordinator::FinishScatter(Scatter* scatter) {
+  const SubRequest& req = scatter->req;
   std::vector<protocol::QueryReply> query_replies;
   std::vector<std::vector<protocol::WireNeighbor>> knn_replies;
+  ScatterOutcome outcome;
   Status failure = Status::OK();
   bool all_failures_exhaustion = true;
   {
-    std::unique_lock<std::mutex> lock(scatter->mu);
-    while (scatter->done_count < scatter->calls.size()) {
-      // Earliest pending hedge deadline among live calls, if any.
-      bool have_hedge = false;
-      std::chrono::steady_clock::time_point next{};
-      for (const ShardCall& call : scatter->calls) {
-        if (call.done || call.hedged || !call.hedge_possible) continue;
-        if (!have_hedge || call.hedge_at < next) {
-          next = call.hedge_at;
-          have_hedge = true;
-        }
-      }
-      if (!have_hedge) {
-        scatter->cv.wait(lock);
-        continue;
-      }
-      if (scatter->cv.wait_until(lock, next) == std::cv_status::timeout) {
-        const auto fire_now = std::chrono::steady_clock::now();
-        for (size_t s = 0; s < scatter->calls.size(); ++s) {
-          ShardCall& call = scatter->calls[s];
-          if (call.done || call.hedged || !call.hedge_possible) continue;
-          if (call.hedge_at > fire_now) continue;
-          // A hedge is an extra leg like any failover: it needs deadline
-          // budget left to be useful and a retry token to be affordable.
-          uint32_t leg_deadline = 0;
-          if (!LegDeadline(req, &leg_deadline)) {
-            call.hedge_possible = false;
-            continue;
-          }
-          if (!SpendRetryToken(shards_[s].get())) {
-            shards_[s]->retries_denied.fetch_add(1, std::memory_order_relaxed);
-            call.hedge_possible = false;
-            continue;
-          }
-          call.hedged = true;
-          ++call.outstanding;
-          shards_[s]->hedges_fired.fetch_add(1, std::memory_order_relaxed);
-          fanout_->Submit([this, s, shared_req, k = shard_k[s], scatter] {
-            RunAttempt(s, /*replica_offset=*/1, shared_req, k, scatter, s,
-                       /*is_hedge=*/true);
-          });
-        }
-      }
-    }
-
     // Extract under the lock: a losing late attempt may still touch its
     // call's bookkeeping fields.
-    outcome->total = static_cast<uint32_t>(scatter->calls.size());
+    std::lock_guard<std::mutex> lock(scatter->mu);
+    outcome.total = static_cast<uint32_t>(scatter->calls.size());
     for (size_t s = 0; s < scatter->calls.size(); ++s) {
       ShardCall& call = scatter->calls[s];
       if (!call.status.ok()) {
@@ -839,8 +547,8 @@ Status Coordinator::ScatterGather(
         if (!ExhaustionFailure(call.status)) all_failures_exhaustion = false;
         continue;
       }
-      ++outcome->answered;
-      if (s < 64) outcome->mask |= 1ull << s;
+      ++outcome.answered;
+      if (s < 64) outcome.mask |= 1ull << s;
       if (req.type == MessageType::kKnn) {
         knn_replies.push_back(std::move(call.reply.neighbors));
       } else {
@@ -855,34 +563,58 @@ Status Coordinator::ScatterGather(
     // the survivors and flag the reply; the counts stay honest over
     // shards_mask.
     if (!req.allow_partial || !all_failures_exhaustion ||
-        outcome->answered == 0) {
-      return failure;
+        outcome.answered == 0) {
+      front_.CompleteError(scatter->client, failure);
+      return;
     }
-    outcome->partial = true;
-    counters_.partial_replies.fetch_add(1, std::memory_order_relaxed);
+    outcome.partial = true;
+    partial_replies_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // A partial merge is a degraded answer: both flags, so old clients that
+  // only know kFlagDegraded still see "incomplete", and new clients can
+  // tell "shards missing" from "pages skipped".
+  const uint32_t partial_flags =
+      outcome.partial ? (protocol::kFlagPartial | protocol::kFlagDegraded) : 0;
   if (req.type == MessageType::kKnn) {
-    *neighbors = MergeKnnNeighbors(knn_replies, req.k);
-    return Status::OK();
+    protocol::KnnReply reply;
+    reply.neighbors = MergeKnnNeighbors(knn_replies, req.k);
+    reply.shards_answered = outcome.answered;
+    reply.shards_total = outcome.total;
+    reply.shards_mask = outcome.mask;
+    front_.Complete(
+        scatter->client, Status::OK(), partial_flags,
+        /*cacheable_reply=*/false,
+        [&](WireWriter* w) { protocol::EncodeKnnReply(reply, w); });
+    return;
   }
   const uint64_t limit =
       req.type == MessageType::kTableSample ? req.n : req.limit;
-  *merged = MergeQueryReplies(std::move(query_replies), limit);
+  protocol::QueryReply merged =
+      MergeQueryReplies(std::move(query_replies), limit);
   if (req.type == MessageType::kTableSample) {
     // A single server's sample reply has row_count == returned rows (the
     // TOP(n) cuts sampling short); keep that invariant for the merge.
-    merged->row_count = merged->objids.size();
+    merged.row_count = merged.objids.size();
   }
-  return Status::OK();
+  merged.shards_answered = outcome.answered;
+  merged.shards_total = outcome.total;
+  merged.shards_mask = outcome.mask;
+  merged.degraded = merged.degraded || outcome.partial;
+  const uint32_t flags =
+      (merged.degraded ? protocol::kFlagDegraded : 0) | partial_flags;
+  front_.Complete(
+      scatter->client, Status::OK(), flags, /*cacheable_reply=*/false,
+      [&](WireWriter* w) { protocol::EncodeQueryReply(merged, w); });
 }
 
-void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
-                             std::shared_ptr<const SubRequest> req,
-                             uint32_t k_for_shard,
-                             std::shared_ptr<Scatter> scatter,
-                             size_t call_index, bool is_hedge) {
+void Coordinator::RunAttempt(const std::shared_ptr<Scatter>& scatter,
+                             size_t shard_index, bool is_hedge) {
   Shard* shard = shards_[shard_index].get();
+  const SubRequest* req = &scatter->req;
+  const size_t call_index = shard_index;
+  // A hedge starts at the next replica, off the primary's.
+  const size_t replica_offset = is_hedge ? 1 : 0;
   if (!is_hedge) {
     shard->requests.fetch_add(1, std::memory_order_relaxed);
     AccrueRetryBudget(shard);
@@ -951,8 +683,9 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
       attempted = true;
 
       bool aborted = false;
-      last = AttemptReplica(shard, replica, *req, leg_options, k_for_shard,
-                            &reply, scatter.get(), call_index, &aborted);
+      last = AttemptReplica(shard, replica, *req, leg_options,
+                            scatter->shard_k[shard_index], &reply,
+                            scatter.get(), call_index, &aborted);
       if (is_probe) EndProbe(replica);
       if (aborted) {
         // The other attempt won mid-exchange: the abort is what failed
@@ -968,7 +701,7 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
       }
       shard->backend_errors.fetch_add(1, std::memory_order_relaxed);
       if (last.code() == StatusCode::kDeadlineExceeded) {
-        counters_.deadline_timeouts.fetch_add(1, std::memory_order_relaxed);
+        leg_timeouts_.fetch_add(1, std::memory_order_relaxed);
       }
       if (!ExhaustionFailure(last)) {
         stop = true;  // semantic error: every replica would repeat it
@@ -978,34 +711,34 @@ void Coordinator::RunAttempt(size_t shard_index, size_t replica_offset,
     }
   }
 
-  std::lock_guard<std::mutex> lock(scatter->mu);
-  ShardCall& call = scatter->calls[call_index];
-  --call.outstanding;
-  if (call.done) return;  // the other attempt won; nothing to record
-  if (success) {
-    call.done = true;
-    call.status = Status::OK();
-    call.reply = std::move(reply);
-    if (is_hedge) {
-      shard->hedges_won.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(scatter->mu);
+    ShardCall& call = scatter->calls[call_index];
+    --call.outstanding;
+    if (call.done) return;  // the other attempt won; nothing to record
+    if (success) {
+      call.status = Status::OK();
+      call.reply = std::move(reply);
+      if (is_hedge) {
+        shard->hedges_won.fetch_add(1, std::memory_order_relaxed);
+      }
+      // Reap the losing attempt's in-flight exchange: shut its socket
+      // down so its read fails now instead of running out the leg
+      // deadline on a connection that must not be pooled anyway. The
+      // loser deregisters under this same mutex before destroying its
+      // client, so every pointer here is live.
+      for (QueryClient* inflight : call.inflight) inflight->Abort();
+    } else {
+      call.status = last;
+      if (call.outstanding > 0) return;  // a hedge is still in flight
+      // Don't wait out a pending hedge timer: this attempt already walked
+      // the replicas, so a hedge could only repeat what just failed.
     }
-    // Reap the losing attempt's in-flight exchange: shut its socket down
-    // so its read fails now instead of running out the leg deadline on a
-    // connection that must not be pooled anyway. The loser deregisters
-    // under this same mutex before destroying its client, so every
-    // pointer here is live.
-    for (QueryClient* inflight : call.inflight) inflight->Abort();
-    ++scatter->done_count;
-    scatter->cv.notify_all();
-    return;
+    call.done = true;
+    if (++scatter->done_count < scatter->calls.size()) return;
   }
-  call.status = last;
-  if (call.outstanding > 0) return;  // a hedge is still in flight
-  // Don't wait out a pending hedge timer: this attempt already walked the
-  // replicas, so a hedge could only repeat what just failed.
-  call.done = true;
-  ++scatter->done_count;
-  scatter->cv.notify_all();
+  // This attempt completed the last call: merge and reply.
+  FinishScatter(scatter.get());
 }
 
 Status Coordinator::AttemptReplica(Shard* shard, Replica* replica,
@@ -1065,7 +798,7 @@ Status Coordinator::AttemptReplica(Shard* shard, Replica* replica,
       break;
     }
     default:
-      st = Status::Internal("ScatterGather on a non-query type");
+      st = Status::Internal("scatter of a non-query type");
       break;
   }
 
@@ -1183,15 +916,6 @@ void Coordinator::ReleaseClient(Replica* replica, QueryClient client) {
   }
 }
 
-bool Coordinator::ReplicaHealthy(const Replica& replica) const {
-  // Healthy = breaker not open: closed (under the failure threshold) or
-  // half-open (backoff expired, a probe may run).
-  const uint32_t failures =
-      replica.consecutive_failures.load(std::memory_order_acquire);
-  if (failures < config_.breaker_failure_threshold) return true;
-  return SteadyNowMs() >= replica.retry_at_ms.load(std::memory_order_acquire);
-}
-
 void Coordinator::MarkReplicaFailure(Replica* replica) {
   const uint32_t failures =
       replica->consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -1236,91 +960,26 @@ bool Coordinator::HedgeDelay(const Shard& shard,
   return true;
 }
 
-void Coordinator::WriteReplyFrame(
-    ClientConn* conn, const MessageHeader& req, const Status& status,
-    uint32_t extra_flags, const std::function<void(WireWriter*)>& encode_body) {
-  std::vector<uint8_t> payload;
-  WireWriter w(&payload);
-  MessageHeader header;
-  header.type = req.type;
-  header.flags = protocol::kFlagReply | extra_flags;
-  header.request_id = req.request_id;
-  protocol::EncodeMessageHeader(header, &w);
-  protocol::EncodeStatus(status, &w);
-  if (status.ok() && encode_body) encode_body(&w);
-  // Writes on one connection come only from its own handler thread, so
-  // replies never interleave. A failed write surfaces on the next read.
-  uint64_t wire_bytes = 0;
-  (void)protocol::WriteFrame(&conn->sock, IoDeadline::After(30000), payload,
-                             &wire_bytes);
-  counters_.bytes_out.fetch_add(wire_bytes, std::memory_order_relaxed);
-}
-
-void Coordinator::RecordReply(MessageType type,
-                              std::chrono::steady_clock::time_point arrival,
-                              const Status& status) {
-  const size_t idx = protocol::TypeIndex(type);
-  if (idx >= protocol::kNumRequestTypes) return;
-  const auto elapsed = std::chrono::steady_clock::now() - arrival;
-  latency_us_[idx].Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
-  if (status.ok()) {
-    counters_.replies_ok.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.replies_error.fetch_add(1, std::memory_order_relaxed);
-    counters_.type_errors[idx].fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-protocol::ServerStatsSnapshot Coordinator::Stats() const {
-  protocol::ServerStatsSnapshot out;
-  out.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  out.connections_closed =
-      counters_.connections_closed.load(std::memory_order_relaxed);
-  out.protocol_errors =
-      counters_.protocol_errors.load(std::memory_order_relaxed);
-  out.requests_total = counters_.requests_total.load(std::memory_order_relaxed);
-  out.replies_ok = counters_.replies_ok.load(std::memory_order_relaxed);
-  out.replies_error = counters_.replies_error.load(std::memory_order_relaxed);
-  out.rejected_overload =
-      counters_.rejected_overload.load(std::memory_order_relaxed);
-  out.rejected_draining =
-      counters_.rejected_draining.load(std::memory_order_relaxed);
-  out.bytes_in = counters_.bytes_in.load(std::memory_order_relaxed);
-  out.bytes_out = counters_.bytes_out.load(std::memory_order_relaxed);
-  out.in_flight_peak = counters_.in_flight_peak.load(std::memory_order_relaxed);
-  out.deadline_timeouts =
-      counters_.deadline_timeouts.load(std::memory_order_relaxed);
-  out.partial_replies =
-      counters_.partial_replies.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < protocol::kNumRequestTypes; ++i) {
-    const Histogram::Snapshot snap = latency_us_[i].TakeSnapshot();
-    protocol::RequestTypeStats& t = out.per_type[i];
-    t.count = snap.count;
-    t.errors = counters_.type_errors[i].load(std::memory_order_relaxed);
-    t.p50_us = snap.ValueAtPercentile(50);
-    t.p95_us = snap.ValueAtPercentile(95);
-    t.p99_us = snap.ValueAtPercentile(99);
-    t.max_us = snap.ValueAtPercentile(100);
-    t.mean_us = snap.Mean();
-  }
-  out.shards.reserve(shards_.size());
+void Coordinator::AddStats(protocol::ServerStatsSnapshot* out) const {
+  out->deadline_timeouts += leg_timeouts_.load(std::memory_order_relaxed);
+  out->partial_replies = partial_replies_.load(std::memory_order_relaxed);
+  out->shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     protocol::ShardStatsEntry entry;
     entry.replicas = static_cast<uint32_t>(shard->replicas.size());
     for (const auto& replica : shard->replicas) {
-      if (ReplicaHealthy(*replica)) ++entry.healthy_replicas;
-    }
-    for (const auto& replica : shard->replicas) {
+      // Healthy = breaker not open: closed (under the failure threshold)
+      // or half-open (backoff expired, a probe may run).
       const uint32_t failures =
           replica->consecutive_failures.load(std::memory_order_acquire);
-      if (failures < config_.breaker_failure_threshold) continue;
-      if (SteadyNowMs() <
-          replica->retry_at_ms.load(std::memory_order_acquire)) {
+      if (failures < config_.breaker_failure_threshold) {
+        ++entry.healthy_replicas;
+      } else if (SteadyNowMs() <
+                 replica->retry_at_ms.load(std::memory_order_acquire)) {
         ++entry.open_breakers;
       } else {
         ++entry.half_open_breakers;
+        ++entry.healthy_replicas;
       }
     }
     entry.requests = shard->requests.load(std::memory_order_relaxed);
@@ -1334,9 +993,8 @@ protocol::ServerStatsSnapshot Coordinator::Stats() const {
     const Histogram::Snapshot snap = shard->latency_us.TakeSnapshot();
     entry.p50_us = snap.ValueAtPercentile(50);
     entry.p99_us = snap.ValueAtPercentile(99);
-    out.shards.push_back(entry);
+    out->shards.push_back(entry);
   }
-  return out;
 }
 
 }  // namespace mds

@@ -3,20 +3,18 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
-#include "common/socket.h"
 #include "server/client.h"
+#include "server/front_end.h"
 #include "server/protocol.h"
 
 namespace mds {
@@ -54,8 +52,9 @@ struct CoordinatorConfig {
   /// Admission cap on concurrently coordinated client requests; beyond it
   /// requests are shed with a retryable kUnavailable, like mdsd.
   size_t max_in_flight = 256;
-  /// Per-frame read deadline on client connections (slow-loris / idle
-  /// close); 0 = none.
+  /// Client connection idle timer, restarted at every frame boundary: a
+  /// client silent (or stalled mid-frame, slow-loris) this long is
+  /// closed; 0 = none.
   uint32_t idle_timeout_ms = 30000;
   /// TCP connect bound for backend connections.
   uint64_t connect_timeout_ms = 2000;
@@ -98,8 +97,9 @@ struct CoordinatorConfig {
   /// Seed for backoff jitter; 0 = seeded from entropy. Fixed seeds make
   /// chaos-campaign runs reproducible.
   uint64_t jitter_seed = 0;
-  /// Scatter worker threads shared by all in-flight fan-outs;
-  /// 0 = min(32, max(4, 2 * total replicas)).
+  /// Backend-leg threads shared by all in-flight fan-outs (the leg pool);
+  /// 0 = min(32, max(4, 2 * total replicas)). The front end itself needs
+  /// no worker threads: mdsc's request handling never blocks.
   unsigned fanout_threads = 0;
   /// Idle pooled connections kept per replica.
   size_t pool_connections_per_replica = 8;
@@ -166,48 +166,50 @@ protocol::QueryReply MergeQueryReplies(
 /// merged reply from the surviving shards (kFlagPartial + kFlagDegraded,
 /// shard coverage on the wire) when a shard is exhausted.
 ///
-/// Hedging: while a shard's primary attempt is outstanding, the fan-out
+/// Hedging: while a shard's primary attempt is outstanding, a hedge timer
 /// waits the hedge delay (fixed, or the shard's observed p99); on expiry
 /// a second attempt starts on the next replica, and the first success
 /// wins. Hedges fired/won are counted per shard.
 ///
-/// Threading model: one blocking accept thread plus one handler thread
-/// per client connection (the coordinator holds no dataset and does no
-/// engine work — its per-connection state is one stack, and a handler
-/// spends its life blocked on the scatter anyway); sub-requests run on a
-/// shared fan-out thread pool so one request's shards proceed in
-/// parallel. Graceful drain mirrors mdsd: RequestDrain() sheds new query
-/// requests with kUnavailable + kFlagDraining while admitted fan-outs
-/// complete; Shutdown() drains, stops the acceptor, shuts the read side
-/// of every client connection (in-flight replies still flush) and joins.
-class Coordinator {
+/// Threading model: mdsc runs on mdsd's FrontEnd (one epoll I/O thread
+/// for every client connection) as its scatter-gather Backend. Execute
+/// never blocks, so it runs on the I/O thread: it decodes a request and
+/// submits one blocking QueryClient leg per shard to the leg pool
+/// (`fanout_threads`), plus a hedge timer (TaskPool::SubmitAt) that holds
+/// no thread while it waits. The leg that completes the last shard merges
+/// and completes the request; no thread waits for a whole fan-out, and
+/// kReload's broadcast runs on the leg pool too. The thread count is
+/// therefore fixed at Start whatever the number of clients. Drain mirrors
+/// mdsd; Shutdown() drains and joins the front end, then runs any
+/// still-queued losing hedge legs and joins the leg pool.
+class Coordinator : private FrontEnd::Backend {
  public:
   Coordinator(const ShardMap& map, const CoordinatorConfig& config);
-  ~Coordinator();
+  ~Coordinator() override;
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Probes every shard (first reachable replica wins), validates that
-  /// dimensions agree across shards, binds the port and starts the accept
-  /// thread. Fails if any shard has no reachable replica.
+  /// dimensions agree across shards, binds the port and starts the front
+  /// end and the leg pool. Fails if any shard has no reachable replica.
   Status Start();
 
   /// Bound port (valid after Start).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_.port(); }
 
-  bool draining() const { return state_.load() != State::kRunning; }
+  bool draining() const { return front_.draining(); }
 
   /// Stops accepting connections and sheds new query requests; admitted
   /// fan-outs complete. Safe to call more than once.
-  void RequestDrain();
+  void RequestDrain() { front_.RequestDrain(); }
 
   /// Full graceful stop. Idempotent.
   void Shutdown();
 
   /// The same snapshot a kStats request returns (front-end counters plus
   /// per-shard routing counters).
-  protocol::ServerStatsSnapshot Stats() const;
+  protocol::ServerStatsSnapshot Stats() const { return front_.Stats(); }
 
   /// Total rows served across shards / their common dimension (valid
   /// after Start; served_rows can move when a kReload lands a new
@@ -216,7 +218,8 @@ class Coordinator {
   uint32_t dim() const { return dim_; }
 
  private:
-  enum class State { kRunning, kDraining, kStopped };
+  using Request = FrontEnd::Request;
+  using Batch = FrontEnd::Batch;
 
   /// One backend replica: its address, a small pool of idle connections,
   /// and circuit-breaker state. The breaker is derived state:
@@ -240,7 +243,7 @@ class Coordinator {
   struct Shard {
     std::vector<std::unique_ptr<Replica>> replicas;
     /// From the Start() probe; re-stamped by a successful kReload
-    /// broadcast (handler threads read it while queries validate k).
+    /// broadcast (the I/O thread reads it while queries validate k).
     std::atomic<uint64_t> served_rows{0};
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> backend_errors{0};
@@ -288,10 +291,7 @@ class Coordinator {
     Status status = Status::OK();
     SubReply reply;
     bool done = false;     ///< a success landed, or every attempt failed
-    bool hedged = false;   ///< a hedge attempt has been launched
     int outstanding = 0;   ///< attempts still running
-    std::chrono::steady_clock::time_point hedge_at;
-    bool hedge_possible = false;
     /// Clients with an exchange in flight for this call, registered under
     /// Scatter::mu. Whichever attempt completes the call Abort()s the
     /// rest, so a losing hedge leg fails its read promptly instead of
@@ -299,34 +299,30 @@ class Coordinator {
     std::vector<QueryClient*> inflight;
   };
 
-  /// One client request's scatter state, shared by the handler thread and
-  /// the attempt jobs.
+  /// One client request's scatter state, shared by its attempt jobs and
+  /// hedge timers; the attempt that completes the last call merges the
+  /// shard replies and answers the client.
   struct Scatter {
+    Request client;                 ///< the request being answered
+    SubRequest req;                 ///< immutable once the legs start
+    std::vector<uint32_t> shard_k;  ///< per-shard kNN k (clamped to rows)
     std::mutex mu;
-    std::condition_variable cv;
     std::vector<ShardCall> calls;
     size_t done_count = 0;
   };
 
-  class FanoutPool;
-  struct ClientConn;
+  // --- FrontEnd::Backend ---------------------------------------------------
+  void Bind(Request*) const override {}
+  protocol::HealthReply Health(const Request& req) const override;
+  /// Leg timeouts, partial replies and the per-shard routing counters.
+  void AddStats(protocol::ServerStatsSnapshot* stats) const override;
+  /// I/O thread: decodes queries and submits their legs; never blocks.
+  void Execute(Batch* batch) override;
+  bool ExecutesInline() const override { return true; }
 
-  void AcceptLoop();
-  void HandleConnection(std::shared_ptr<ClientConn> conn);
-  /// Handles one decoded request frame; returns false when the connection
-  /// must close (protocol violation).
-  bool HandleFrame(ClientConn* conn, std::vector<uint8_t> payload);
-  void HandleHealth(ClientConn* conn, const protocol::MessageHeader& header);
-  void HandleStats(ClientConn* conn, const protocol::MessageHeader& header);
-  /// Broadcasts a decoded kReload to every replica of every shard; on
-  /// success re-stamps the per-shard and total served_rows.
-  void HandleReload(ClientConn* conn, const protocol::MessageHeader& header,
-                    const protocol::ReloadRequest& request,
-                    uint32_t deadline_ms);
-  /// Decode, validate, scatter, merge, reply for one query request.
-  void HandleQuery(ClientConn* conn, const protocol::MessageHeader& header,
-                   const std::vector<uint8_t>& payload, size_t body_offset,
-                   uint32_t deadline_ms);
+  /// Broadcasts a kReload to every replica of every shard; on success
+  /// re-stamps the per-shard and total served_rows.
+  void HandleReload(const Request& req);
 
   /// Decodes and validates the request body into a SubRequest template
   /// (per-shard k is filled in at scatter time).
@@ -342,21 +338,22 @@ class Coordinator {
     bool partial = false;    ///< answered < total and the reply is usable
   };
 
-  /// Runs the scatter-gather for one validated request. On success the
-  /// merged reply is in *merged / *neighbors (by type) and *outcome says
-  /// which shards contributed (outcome->partial marks a degraded merge of
-  /// the survivors, possible only when req.allow_partial).
-  Status ScatterGather(const SubRequest& req, protocol::QueryReply* merged,
-                       std::vector<protocol::WireNeighbor>* neighbors,
-                       ScatterOutcome* outcome);
+  /// Decodes and validates one query request, then submits one attempt
+  /// per shard to the leg pool and a timed hedge check per shard that may
+  /// hedge. Returns at once.
+  void StartScatter(Request client);
+  /// Hedge timer: on expiry, while the shard's call is still open, starts
+  /// a second attempt on the next replica (first success wins).
+  void MaybeHedge(const std::shared_ptr<Scatter>& scatter, size_t shard);
+  /// Merges the shard replies (or fails the request, or degrades it to the
+  /// survivors when allowed) and completes the client request.
+  void FinishScatter(Scatter* scatter);
 
-  /// One attempt: walk the shard's replicas starting at replica_offset,
-  /// failing over on retryable errors while the deadline and retry
-  /// budgets allow, and complete the ShardCall. The request is shared
-  /// because a losing hedge can outlive the client request's stack frame.
-  void RunAttempt(size_t shard_index, size_t replica_offset,
-                  std::shared_ptr<const SubRequest> req, uint32_t k_for_shard,
-                  std::shared_ptr<Scatter> scatter, size_t call_index,
+  /// One attempt: walk the shard's replicas (from the next one, for a
+  /// hedge), failing over on retryable errors while the deadline and
+  /// retry budgets allow, and complete the shard's call; the attempt that
+  /// completes the last call finishes the scatter.
+  void RunAttempt(const std::shared_ptr<Scatter>& scatter, size_t shard,
                   bool is_hedge);
   /// One replica exchange under `leg_options` (the per-leg deadline
   /// share). Returns the backend's status; *aborted reports that another
@@ -390,20 +387,12 @@ class Coordinator {
 
   Result<QueryClient> AcquireClient(Replica* replica);
   void ReleaseClient(Replica* replica, QueryClient client);
-  bool ReplicaHealthy(const Replica& replica) const;
   void MarkReplicaFailure(Replica* replica);
   void MarkReplicaSuccess(Replica* replica);
 
   /// Hedge delay for a shard; returns false when hedging should not fire
   /// (single replica, or adaptive mode without enough samples).
   bool HedgeDelay(const Shard& shard, std::chrono::microseconds* delay) const;
-
-  void WriteReplyFrame(ClientConn* conn, const protocol::MessageHeader& req,
-                       const Status& status, uint32_t extra_flags,
-                       const std::function<void(WireWriter*)>& encode_body);
-  void RecordReply(protocol::MessageType type,
-                   std::chrono::steady_clock::time_point arrival,
-                   const Status& status);
 
   CoordinatorConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -412,48 +401,20 @@ class Coordinator {
   /// Serializes whole-fleet reload broadcasts (mirrors QueryServer's
   /// per-server reload_mu_).
   std::mutex reload_mu_;
-  uint16_t port_ = 0;
+  const unsigned leg_threads_;  // fanout_threads, or its derived default
+  std::unique_ptr<TaskPool> legs_;  // backend legs
 
-  TcpListener listener_;
-  std::thread accept_thread_;
-  std::unique_ptr<FanoutPool> fanout_;
-
-  std::atomic<State> state_{State::kStopped};
-  bool started_ = false;
-  std::atomic<bool> stop_accept_{false};
-
-  // Live client connections, so Shutdown can unblock their read loops.
-  mutable std::mutex conns_mu_;
-  std::vector<std::shared_ptr<ClientConn>> conns_;
-  std::vector<std::thread> handler_threads_;
-
-  std::atomic<size_t> in_flight_{0};
-
-  struct Counters {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> connections_closed{0};
-    std::atomic<uint64_t> protocol_errors{0};
-    std::atomic<uint64_t> requests_total{0};
-    std::atomic<uint64_t> replies_ok{0};
-    std::atomic<uint64_t> replies_error{0};
-    std::atomic<uint64_t> rejected_overload{0};
-    std::atomic<uint64_t> rejected_draining{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-    std::atomic<uint64_t> in_flight_peak{0};
-    /// Backend legs whose read deadline fired (slow-but-alive replicas).
-    std::atomic<uint64_t> deadline_timeouts{0};
-    /// Replies answered from a strict subset of shards (kFlagPartial).
-    std::atomic<uint64_t> partial_replies{0};
-    std::atomic<uint64_t> type_errors[protocol::kNumRequestTypes] = {};
-  };
-  mutable Counters counters_;
-  Histogram latency_us_[protocol::kNumRequestTypes];
+  /// Backend legs whose read deadline fired (slow-but-alive replicas).
+  std::atomic<uint64_t> leg_timeouts_{0};
+  /// Replies answered from a strict subset of shards (kFlagPartial).
+  std::atomic<uint64_t> partial_replies_{0};
 
   /// Backoff jitter source (common/rng.h is not thread-safe; attempts on
-  /// many fan-out threads mark failures concurrently).
+  /// many leg threads mark failures concurrently).
   mutable std::mutex rng_mu_;
   mutable Rng rng_;
+
+  FrontEnd front_;
 };
 
 }  // namespace mds

@@ -56,19 +56,6 @@ size_t TypeIndex(MessageType type) {
   return kNumRequestTypes;
 }
 
-const char* MessageTypeName(MessageType type) {
-  switch (type) {
-    case MessageType::kHealth: return "health";
-    case MessageType::kStats: return "stats";
-    case MessageType::kPointCount: return "point-count";
-    case MessageType::kBoxQuery: return "box-query";
-    case MessageType::kKnn: return "knn";
-    case MessageType::kTableSample: return "tablesample";
-    case MessageType::kReload: return "reload";
-  }
-  return "unknown";
-}
-
 void AppendFrame(const std::vector<uint8_t>& payload,
                  std::vector<uint8_t>* wire) {
   WireWriter w(wire);
@@ -408,8 +395,16 @@ Status DecodeReloadReply(WireReader* r, ReloadReply* reply) {
   return r->status();
 }
 
+Status CheckQueryDimension(size_t query_dim, size_t served_dim) {
+  if (query_dim == served_dim) return Status::OK();
+  return Status::InvalidArgument("query dimension " +
+                                 std::to_string(query_dim) +
+                                 " != served dimension " +
+                                 std::to_string(served_dim));
+}
+
 Status ReadFrame(Socket* sock, const IoDeadline& deadline,
-                 std::vector<uint8_t>* payload, uint64_t* bytes_read) {
+                 std::vector<uint8_t>* payload) {
   uint8_t prefix[kFramePrefixBytes];
   MDS_RETURN_NOT_OK(sock->ReadFull(prefix, sizeof(prefix), deadline));
   WireReader r(prefix, sizeof(prefix));
@@ -434,19 +429,15 @@ Status ReadFrame(Socket* sock, const IoDeadline& deadline,
   if (Crc32c(payload->data(), len) != crc) {
     return Status::Corruption("protocol: frame CRC mismatch");
   }
-  if (bytes_read != nullptr) *bytes_read += kFramePrefixBytes + len;
   return Status::OK();
 }
 
 Status WriteFrame(Socket* sock, const IoDeadline& deadline,
-                  const std::vector<uint8_t>& payload,
-                  uint64_t* bytes_written) {
+                  const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> wire;
   wire.reserve(kFramePrefixBytes + payload.size());
   AppendFrame(payload, &wire);
-  MDS_RETURN_NOT_OK(sock->WriteFull(wire.data(), wire.size(), deadline));
-  if (bytes_written != nullptr) *bytes_written += wire.size();
-  return Status::OK();
+  return sock->WriteFull(wire.data(), wire.size(), deadline);
 }
 
 }  // namespace protocol

@@ -65,7 +65,6 @@ inline constexpr size_t kNumRequestTypes = 6;
 /// Index of a request type in per-type stats arrays, or kNumRequestTypes
 /// for out-of-range values.
 size_t TypeIndex(MessageType type);
-const char* MessageTypeName(MessageType type);
 
 // MessageHeader.flags bits.
 inline constexpr uint32_t kFlagReply = 1u << 0;
@@ -313,21 +312,22 @@ Status DecodeReloadRequest(WireReader* r, ReloadRequest* req);
 void EncodeReloadReply(const ReloadReply& reply, WireWriter* w);
 Status DecodeReloadReply(WireReader* r, ReloadReply* reply);
 
+/// InvalidArgument unless a request's coordinate count matches the served
+/// dimension — the check mdsd and mdsc both apply after decoding a body.
+Status CheckQueryDimension(size_t query_dim, size_t served_dim);
+
 // --- Framed socket I/O -----------------------------------------------------
 
 /// Reads one frame into `payload`, verifying magic, length bound and CRC.
 /// Failure taxonomy: NotFound = clean close on a frame boundary;
 /// kUnavailable = deadline or mid-frame close; kInvalidArgument /
 /// kCorruption = protocol violation (caller must close the connection).
-/// `bytes_read` (optional) accumulates the on-wire byte count.
 Status ReadFrame(Socket* sock, const IoDeadline& deadline,
-                 std::vector<uint8_t>* payload, uint64_t* bytes_read = nullptr);
+                 std::vector<uint8_t>* payload);
 
-/// Frames and writes one payload. `bytes_written` (optional) accumulates
-/// the on-wire byte count.
+/// Frames and writes one payload.
 Status WriteFrame(Socket* sock, const IoDeadline& deadline,
-                  const std::vector<uint8_t>& payload,
-                  uint64_t* bytes_written = nullptr);
+                  const std::vector<uint8_t>& payload);
 
 }  // namespace protocol
 }  // namespace mds

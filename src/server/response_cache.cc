@@ -116,14 +116,6 @@ void ResponseCache::Insert(uint16_t type, uint64_t epoch, const uint8_t* body,
   if (evicted != 0) evictions_.fetch_add(evicted, std::memory_order_relaxed);
 }
 
-void ResponseCache::Insert(uint16_t type, uint64_t epoch, const uint8_t* body,
-                           size_t body_len, uint32_t flags,
-                           const uint8_t* tail, size_t tail_len) {
-  SlabPool::Slice slice = SlabPool::Global().Allocate(tail_len);
-  if (slice) std::memcpy(slice.data(), tail, tail_len);
-  Insert(type, epoch, body, body_len, flags, std::move(slice));
-}
-
 ResponseCache::StatsSnapshot ResponseCache::Stats() const {
   StatsSnapshot s;
   s.hits = hits_.load(std::memory_order_relaxed);

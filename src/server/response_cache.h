@@ -88,12 +88,6 @@ class ResponseCache {
   void Insert(uint16_t type, uint64_t epoch, const uint8_t* body,
               size_t body_len, uint32_t flags, SlabPool::Slice tail);
 
-  /// Copying convenience for callers that do not hold the tail in a slab
-  /// slice (tests, legacy paths): allocates a slice and copies once.
-  void Insert(uint16_t type, uint64_t epoch, const uint8_t* body,
-              size_t body_len, uint32_t flags, const uint8_t* tail,
-              size_t tail_len);
-
   struct StatsSnapshot {
     uint64_t hits = 0;
     uint64_t misses = 0;

@@ -1,87 +1,28 @@
 #ifndef MDS_SERVER_SERVER_H_
 #define MDS_SERVER_SERVER_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <random>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "common/buffered_socket.h"
-#include "common/event_loop.h"
-#include "common/histogram.h"
-#include "common/parallel.h"
-#include "common/rng.h"
-#include "common/socket.h"
 #include "server/dataset.h"
+#include "server/front_end.h"
 #include "server/protocol.h"
-#include "server/response_cache.h"
 
 namespace mds {
 
-/// mdsd server tuning knobs.
-struct ServerConfig {
-  /// Loopback TCP port; 0 picks an ephemeral port (see QueryServer::port).
-  uint16_t port = 0;
-  /// Query worker threads; 0 = QueryThreads() (MDS_QUERY_THREADS).
-  unsigned num_workers = 0;
-  /// Admission-control cap: maximum requests admitted (queued + executing)
-  /// at once. Arrivals beyond the cap are rejected immediately with a
-  /// retryable kUnavailable reply — the server sheds load, it never
-  /// buffers unboundedly or hangs.
-  size_t max_in_flight = 64;
-  /// Connections beyond this are accepted and closed immediately.
-  size_t max_connections = 256;
-  /// Applied to requests that carry no deadline; 0 = none.
-  uint32_t default_deadline_ms = 0;
-  /// Per-frame read deadline on every connection: a client that stalls
-  /// mid-frame (slow-loris) or goes silent longer than this is closed.
-  /// 0 = no timeout.
-  uint32_t idle_timeout_ms = 30000;
-  /// Response-cache capacity in bytes; 0 disables caching (the library
-  /// default, so embedded tests see every request execute). The mdsd
-  /// binary enables it by default (--cache-bytes / --no-cache).
-  size_t cache_bytes = 0;
-  /// Reactor I/O threads (event loops); connections are spread round-robin
-  /// across them. 0 = 1. One loop comfortably serves thousands of
-  /// connections; more loops only help when frame parsing itself saturates
-  /// a core.
-  unsigned io_threads = 1;
-  /// Upper bound on contiguous pipelined cache-miss query requests from
-  /// one connection ganged into a single QueryEngine::ExecuteBatch call.
-  /// 1 disables ganging (every request executes alone).
-  size_t pipeline_batch_max = 64;
-  /// Test hook: treat the first N accepted connections as if accept()
-  /// had failed with EMFILE (close them, count accept_errors, back off).
-  /// Exercises the fd-exhaustion path deterministically.
-  size_t debug_fail_first_accepts = 0;
-};
-
-/// The mdsd query server: a concurrent TCP front end over the QueryEngine.
+/// The mdsd query server: the local engine behind the serving FrontEnd.
 ///
-/// Threading model (DESIGN.md "Serving layer"):
-///  - `io_threads` reactor threads (default one), each running an epoll
-///    EventLoop; loop 0 owns the non-blocking listener, and every
-///    connection lives on exactly one loop (BufferedSocket, idle timer,
-///    write queue). Thread count is independent of connection count —
-///    thousands of idle connections cost table entries, not stacks.
-///  - the I/O thread decodes frames in place; health/stats and response-
-///    cache hits are answered inline (they must work while the server is
-///    saturated), query requests pass admission control into a bounded
-///    queue — contiguous pipelined cache-miss box-like requests from one
-///    readiness event are ganged into one batch;
-///  - the existing TaskPool (MDS_QUERY_THREADS workers) drains the queue,
-///    executes each batch through QueryPlanner/AccessPath (gangs through
-///    one QueryEngine::ExecuteBatch call) over the shared BufferPool, and
-///    enqueues the reply back onto the connection's loop, which flushes
-///    it with writev (no worker ever blocks on a slow client).
+/// The front end (front_end.h) owns the reactor, framing, admission,
+/// drain, counters, the response cache and reply delivery. This class is
+/// its local-engine Backend: every request binds the served dataset
+/// generation at parse time; workers execute box-like requests through
+/// QueryPlanner/AccessPath (pipelined gangs through one
+/// QueryEngine::ExecuteBatch call, each slot's path chosen by the
+/// planner), kNN through the kd-tree searcher, and kReload through
+/// Reload(). Up to `num_workers` requests execute at once, always on
+/// worker threads, never on an I/O thread.
 ///
 /// Admission control: at most max_in_flight requests are in the system;
 /// beyond that, arrivals get an immediate retryable kUnavailable. Each
@@ -98,7 +39,7 @@ struct ServerConfig {
 /// Thread safety: Start/RequestDrain/Shutdown may be called from any
 /// thread; Start exactly once per started epoch. Stats() is safe at any
 /// time.
-class QueryServer {
+class QueryServer : private FrontEnd::Backend {
  public:
   /// Serves `dataset` as the initial generation. The server holds the
   /// dataset as an RCU-style snapshot: every request captures the current
@@ -109,7 +50,7 @@ class QueryServer {
   /// Legacy non-owning form: `dataset` must outlive the server and every
   /// in-flight request. Reload works only if a handler is set.
   QueryServer(const ServedDataset* dataset, const ServerConfig& config);
-  ~QueryServer();
+  ~QueryServer() override;
 
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
@@ -118,21 +59,21 @@ class QueryServer {
   Status Start();
 
   /// Bound port (valid after Start; the ephemeral port when config.port=0).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return front_.port(); }
 
-  bool draining() const { return state_.load() != State::kRunning; }
+  bool draining() const { return front_.draining(); }
 
   /// Stops admitting new work; in-flight requests keep executing. Safe to
   /// call more than once.
-  void RequestDrain();
+  void RequestDrain() { front_.RequestDrain(); }
 
   /// Full graceful stop: drain, complete in-flight requests, flush their
   /// replies, join all threads, close all connections. Idempotent.
-  void Shutdown();
+  void Shutdown() { front_.Shutdown(); }
 
   /// Point-in-time server counters (the same snapshot a kStats request
   /// returns).
-  protocol::ServerStatsSnapshot Stats() const;
+  protocol::ServerStatsSnapshot Stats() const { return front_.Stats(); }
 
   /// Produces the next dataset generation for a hot swap. `path` names a
   /// dataset file on this machine; empty means "reload the current
@@ -162,161 +103,30 @@ class QueryServer {
   Result<protocol::ReloadReply> Reload(const std::string& path);
 
  private:
-  enum class State { kRunning, kDraining, kStopped };
+  using Request = FrontEnd::Request;
+  using Batch = FrontEnd::Batch;
 
-  struct IoLoop;
+  // --- FrontEnd::Backend ---------------------------------------------------
+  /// Captures the (dataset, epoch) pair under dataset_mu_.
+  void Bind(Request* req) const override;
+  protocol::HealthReply Health(const Request& req) const override;
+  /// Buffer-pool I/O deltas and the dataset epoch.
+  void AddStats(protocol::ServerStatsSnapshot* stats) const override;
+  void Execute(Batch* batch) override;
 
-  /// Per-connection reactor state. All fields are owned by the home
-  /// loop's thread; other threads reach a Conn only via EventLoop::Post.
-  struct Conn {
-    BufferedSocket bsock;
-    IoLoop* home = nullptr;
-    int fd = -1;  ///< cached for deregistration after the socket closes
-    bool closed = false;
-    /// Logical close: no more frames are read (peer EOF, idle timeout or
-    /// protocol violation), but the socket stays open until the replies
-    /// of already-admitted requests have flushed — the old blocking
-    /// reader's exit semantics, reproduced on the loop.
-    bool read_eof = false;
-    bool want_write = false;  ///< EPOLLOUT currently requested
-    /// Admitted requests whose replies have not yet been delivered to
-    /// this connection's write queue (loop thread only).
-    size_t admitted_open = 0;
-    EventLoop::TimerId idle_timer = 0;
-    EventLoop::TimerId write_timer = 0;
-  };
-
-  /// One reactor thread: an event loop plus the connections homed on it.
-  struct IoLoop {
-    EventLoop loop;
-    std::thread thread;
-    std::vector<std::shared_ptr<Conn>> conns;  // loop-thread owned
-    bool shutting_down = false;
-    bool stop_requested = false;
-    EventLoop::TimerId shutdown_timer = 0;
-  };
-
-  struct PendingRequest {
-    std::shared_ptr<Conn> conn;
-    /// Dataset generation captured at parse time (with its epoch, under
-    /// one lock, so the pair is consistent across a concurrent swap). The
-    /// request executes against this snapshot even if a reload publishes
-    /// a newer generation first; the shared_ptr keeps the old generation
-    /// alive until its last in-flight request replies.
-    std::shared_ptr<const ServedDataset> dataset;
-    protocol::MessageHeader header;
-    std::vector<uint8_t> payload;  // full payload; body starts at body_offset
-    size_t body_offset = 0;
-    uint32_t deadline_ms = 0;  // effective (request or config default)
-    std::chrono::steady_clock::time_point arrival;
-    // Set by the I/O-thread cache probe on a miss: this request should
-    // populate the cache under the epoch observed at probe time (an epoch
-    // bump between probe and populate strands the entry under the old
-    // epoch, where it can never serve a stale hit).
-    bool cache_populate = false;
-    uint64_t cache_epoch = 0;
-    /// True once the request passed admission control (its reply delivery
-    /// decrements Conn::admitted_open).
-    bool admitted = false;
-  };
-
-  /// One work-queue item: a gang of admitted requests from one connection
-  /// (usually a singleton; >1 for contiguous pipelined cache misses).
-  using Batch = std::vector<PendingRequest>;
-
-  /// One encoded reply, split for scatter-gather delivery: `head` is the
-  /// frame prefix plus the 28 bytes through the message header (per-request:
-  /// it carries the requester's id), `tail` is the refcounted payload after
-  /// the header (status + body), shared by reference with the response
-  /// cache on hits. Queued as two write buffers, gathered into one writev.
-  struct ReplyFrame {
-    std::vector<uint8_t> head;
-    SlabPool::Slice tail;
-    size_t size() const { return head.size() + tail.size(); }
-  };
-
-  // --- reactor path (loop threads) ---------------------------------------
-  void OnAcceptReady();
-  void BackOffAccept();
-  void AdoptConnection(Socket sock);
-  void RegisterConnection(IoLoop* home, std::shared_ptr<Conn> conn);
-  void OnConnEvent(const std::shared_ptr<Conn>& conn, uint32_t ready);
-  /// Parses complete frames out of the connection's read buffer,
-  /// dispatching each; gangs admitted query requests. Returns false when
-  /// reading stopped (protocol violation).
-  bool ProcessFrames(const std::shared_ptr<Conn>& conn, Batch* gang);
-  /// Dispatches one decoded frame payload. Returns false when the
-  /// connection must stop reading (header violation).
-  bool HandleFrame(const std::shared_ptr<Conn>& conn,
-                   std::vector<uint8_t> payload, Batch* gang);
-  void FlushGang(Batch* gang);
-  void EnqueueBatch(Batch batch);
-  void ArmIdleTimer(const std::shared_ptr<Conn>& conn);
-  /// Flushes the connection's write queue, managing EPOLLOUT interest and
-  /// the write-stall timer; closes on error.
-  void FlushConn(const std::shared_ptr<Conn>& conn);
-  /// Logical close (see Conn::read_eof): closes outright once no admitted
-  /// replies or queued writes remain.
-  void StopReading(const std::shared_ptr<Conn>& conn);
-  void CloseConn(const std::shared_ptr<Conn>& conn);
-  /// Loop-thread delivery of an encoded reply frame: queues head then tail
-  /// back to back (one writev gathers both; no payload copy).
-  void DeliverReply(const std::shared_ptr<Conn>& conn, ReplyFrame frame,
-                    bool admitted);
-  /// Routes an encoded reply frame to the connection's loop (direct when
-  /// already on it, Post otherwise).
-  void EnqueueReply(const std::shared_ptr<Conn>& conn, ReplyFrame frame,
-                    bool admitted);
-  void ShutdownLoopTask(IoLoop* io);
-  void CheckLoopDrained(IoLoop* io);
-
-  // --- request path (worker threads unless noted) ------------------------
-  void WorkerLoop();
-  /// Executes one admitted query request and enqueues its reply.
-  void HandleRequest(PendingRequest* req);
-  /// The box-like branch of HandleRequest (planner execution + reply).
-  void ExecuteAndReplyBoxLike(PendingRequest* req);
+  // --- request path (worker threads) --------------------------------------
+  /// Box-like execution of one request through the planner, and its reply.
+  void ExecuteAndReplyBoxLike(Request* req);
   /// Executes a gang through one QueryEngine::ExecuteBatch call. Any slot
   /// that cannot take the batch fast path (or fails on it) is re-run
   /// through the exact single-request path, so replies are byte-identical
   /// to sequential execution.
   void HandleBatch(Batch* batch);
-
-  void HandleHealth(const PendingRequest& req);  // loop thread
-  void HandleStats(const PendingRequest& req);   // loop thread
-  /// Executes one admitted kReload request (worker thread; the load may
-  /// take seconds and must never run on an I/O thread).
-  void HandleReload(PendingRequest* req);
-  Status ExecuteBoxLike(const PendingRequest& req, protocol::QueryReply* out);
-  Status ExecuteKnn(const PendingRequest& req, protocol::KnnReply* out);
-
-  /// I/O-thread fast path: serves `req` from the response cache when a
-  /// memoized reply exists. Hits bypass admission control, the queue and
-  /// the deadline machinery entirely. Returns true when the request was
-  /// answered here (hit) — the caller must not enqueue it.
-  bool TryServeFromCache(PendingRequest* req);
-
-  /// Serializes a reply frame (status + optional body encoded by
-  /// `encode_body` when status is OK) and enqueues it on the connection's
-  /// loop. When `cacheable_reply` and the request was tagged for
-  /// population, the encoded reply enters the response cache after
-  /// finalization and before it is enqueued.
-  template <typename EncodeBody>
-  void WriteReply(const PendingRequest& req, const Status& status,
-                  uint32_t extra_flags, bool cacheable_reply,
-                  EncodeBody&& encode_body);
-  void WriteErrorReply(const PendingRequest& req, const Status& status,
-                       uint32_t extra_flags);
-
-  void FinishRequest(const PendingRequest& req, const Status& status);
-  /// Records latency + reply counters for an inline (loop-thread) reply.
-  void RecordInlineReply(const PendingRequest& req);
-
-  bool Expired(const PendingRequest& req) const;
-
-  /// Consistent (dataset, epoch) pair under dataset_mu_.
-  void SnapshotDataset(std::shared_ptr<const ServedDataset>* dataset,
-                       uint64_t* epoch) const;
+  /// Executes one admitted kReload request (the load may take seconds and
+  /// must never run on an I/O thread).
+  void HandleReload(Request* req);
+  Status ExecuteBoxLike(const Request& req, protocol::QueryReply* out);
+  Status ExecuteKnn(const Request& req, protocol::KnnReply* out);
 
   /// The served generation. Guarded by dataset_mu_ together with
   /// pool_at_start_ (the I/O-delta baseline is per-generation); reads are
@@ -324,68 +134,12 @@ class QueryServer {
   mutable std::mutex dataset_mu_;
   std::shared_ptr<const ServedDataset> dataset_;
   ReloadHandler reload_handler_;  // guarded by dataset_mu_
+  CounterSnapshot pool_at_start_;  // guarded by dataset_mu_ after Start
   /// Serializes whole reloads (load + validate + swap) without ever
   /// holding dataset_mu_ across the slow load.
   std::mutex reload_mu_;
-  ServerConfig config_;
-  uint16_t port_ = 0;
 
-  TcpListener listener_;
-  std::vector<std::unique_ptr<IoLoop>> loops_;
-  size_t next_loop_ = 0;  // loop-0 thread only (round-robin assignment)
-
-  std::thread worker_runner_;  // blocks inside TaskPool::Run for the
-                               // server's lifetime
-  std::unique_ptr<TaskPool> workers_;
-
-  std::atomic<State> state_{State::kStopped};
-  bool started_ = false;
-
-  // Accept-backoff state (loop-0 thread only; accept_rng_ jitters the
-  // re-arm interval and is therefore fine unguarded).
-  bool listener_registered_ = false;
-  uint64_t accept_backoff_ms_ = 0;
-  size_t debug_fail_remaining_ = 0;
-  Rng accept_rng_{std::random_device{}()};
-
-  // Bounded request queue + in-flight accounting (admission control).
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;    // workers wait for work
-  std::condition_variable drained_cv_;  // Shutdown waits for in-flight == 0
-  std::deque<Batch> queue_;
-  bool queue_closed_ = false;
-  size_t in_flight_ = 0;  // queued + executing requests, guarded by queue_mu_
-
-  std::atomic<size_t> open_connections_{0};
-
-  // Counters (relaxed atomics; aggregated into ServerStatsSnapshot).
-  struct Counters {
-    std::atomic<uint64_t> connections_accepted{0};
-    std::atomic<uint64_t> connections_closed{0};
-    std::atomic<uint64_t> accept_errors{0};
-    std::atomic<uint64_t> protocol_errors{0};
-    std::atomic<uint64_t> requests_total{0};
-    std::atomic<uint64_t> replies_ok{0};
-    std::atomic<uint64_t> replies_error{0};
-    std::atomic<uint64_t> rejected_overload{0};
-    std::atomic<uint64_t> rejected_draining{0};
-    std::atomic<uint64_t> deadline_timeouts{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
-    std::atomic<uint64_t> in_flight_peak{0};
-    /// Post-encode payload memcpys on the reply path: one per executed
-    /// (miss) reply when its scratch encoding moves into a slab slice,
-    /// zero per cache hit. The zero-copy regression gauge — a pure-hit
-    /// workload must not move it.
-    std::atomic<uint64_t> reply_tail_copies{0};
-    std::atomic<uint64_t> type_errors[protocol::kNumRequestTypes] = {};
-  };
-  mutable Counters counters_;
-  Histogram latency_us_[protocol::kNumRequestTypes];
-  CounterSnapshot pool_at_start_;  // guarded by dataset_mu_ after Start
-  // Response cache (null when config.cache_bytes == 0). Probed on I/O
-  // threads, populated on workers; thread-safe by construction.
-  std::unique_ptr<ResponseCache> cache_;
+  FrontEnd front_;
 };
 
 }  // namespace mds

@@ -208,11 +208,6 @@ class FaultInjectionPager : public Pager {
   FaultInjectionPager(Pager* base, const FaultConfig& config)
       : base_(base), config_(config), rng_(config.seed) {}
 
-  /// Legacy convenience: fail every operation after the first
-  /// `fail_after` (no probabilistic faults).
-  FaultInjectionPager(Pager* base, uint64_t fail_after)
-      : FaultInjectionPager(base, BudgetOnly(fail_after)) {}
-
   Result<PageId> AllocatePage() override;
   Status ReadPage(PageId id, Page* page) override;
   Status WritePage(PageId id, const Page& page) override;
@@ -227,12 +222,6 @@ class FaultInjectionPager : public Pager {
 
  private:
   enum class Op : uint8_t { kAlloc, kRead, kWrite, kSync };
-
-  static FaultConfig BudgetOnly(uint64_t fail_after) {
-    FaultConfig config;
-    config.fail_after = fail_after;
-    return config;
-  }
 
   /// Runs the fault draws for one operation; called with mu_ held.
   /// On OK, *flip_bits / *torn_prefix describe silent corruption to apply

@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -331,6 +334,140 @@ TEST_F(ConcurrencyTest, TaskPoolRunsEveryWorkerExactlyOnce) {
   for (size_t i = 0; i < counts.size(); ++i) {
     ASSERT_EQ(counts[i].load(), 1) << "index " << i;
   }
+}
+
+/// Blocks until every task on the pool has reached it, or the bound
+/// expires (a lost worker then fails the test instead of hanging it).
+class Barrier {
+ public:
+  explicit Barrier(size_t parties) : parties_(parties) {}
+
+  bool ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++arrived_ == parties_) cv_.notify_all();
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return arrived_ >= parties_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t parties_;
+  size_t arrived_ = 0;
+};
+
+TEST(TaskPoolSubmitTest, EveryTaskFromEightThreadsRunsExactlyOnce) {
+  constexpr int kSubmitters = 8;
+  constexpr int kPerSubmitter = 500;
+  std::vector<std::atomic<int>> runs(kSubmitters * kPerSubmitter);
+  for (auto& r : runs) r.store(0);
+  {
+    TaskPool pool(3);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&pool, &runs, t] {
+        for (int i = 0; i < kPerSubmitter; ++i) {
+          const size_t slot = static_cast<size_t>(t * kPerSubmitter + i);
+          pool.Submit([&runs, slot] {
+            runs[slot].fetch_add(1, std::memory_order_relaxed);
+          });
+        }
+      });
+    }
+    for (auto& s : submitters) s.join();
+  }  // the destructor runs whatever is still queued
+  for (size_t i = 0; i < runs.size(); ++i) {
+    ASSERT_EQ(runs[i].load(), 1) << "task " << i;
+  }
+}
+
+TEST(TaskPoolSubmitTest, SingleThreadPoolNeverRunsInline) {
+  TaskPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::thread::id> ran_on;
+  for (int i = 0; i < 16; ++i) {
+    pool.Submit([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      ran_on.push_back(std::this_thread::get_id());
+      cv.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return ran_on.size() == 16; }));
+  for (const std::thread::id id : ran_on) {
+    EXPECT_NE(id, caller);
+    EXPECT_EQ(id, ran_on.front());  // one pool thread, in FIFO order
+  }
+}
+
+TEST(TaskPoolSubmitTest, NBlockingTasksAllFinishOnNThreadPool) {
+  // Run() counts its caller as worker 0; a task queue must not lose that
+  // worker, or one of N mutually-waiting tasks never starts.
+  for (unsigned n : {1u, 2u, 4u}) {
+    Barrier barrier(n);
+    std::atomic<unsigned> passed{0};
+    {
+      TaskPool pool(n);
+      for (unsigned i = 0; i < n; ++i) {
+        pool.Submit([&] {
+          if (barrier.ArriveAndWait()) passed.fetch_add(1);
+        });
+      }
+    }  // destruction joins after every task returned
+    EXPECT_EQ(passed.load(), n) << "pool of " << n;
+  }
+}
+
+TEST(TaskPoolSubmitTest, DestructorRunsTasksStillQueued) {
+  // A losing hedge leg is queued behind live work and may still be queued
+  // when its pool is torn down; it must run, not vanish.
+  std::atomic<int> ran{0};
+  {
+    TaskPool pool(1);
+    // The first task holds the only thread while the destructor starts,
+    // so the other ten are still queued when it sets the stop flag.
+    pool.Submit([&ran] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      ran.fetch_add(1);
+    });
+    for (int i = 0; i < 10; ++i) pool.Submit([&ran] { ran.fetch_add(1); });
+  }
+  EXPECT_EQ(ran.load(), 11);
+}
+
+TEST(TaskPoolSubmitTest, TimedTasksWaitWithoutHoldingAThread) {
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int> early{0};
+  std::atomic<int> ran{0};
+  std::atomic<bool> prompt{false};
+  {
+    TaskPool pool(1);
+    const Clock::time_point start = Clock::now();
+    // Submitted latest-first: they must still start in time order, each no
+    // earlier than its time.
+    for (int i = 3; i >= 0; --i) {
+      const Clock::time_point when = start + std::chrono::milliseconds(20 * i);
+      pool.SubmitAt(when, [&early, &ran, when, i] {
+        if (Clock::now() < when || ran.load() != i) early.fetch_add(1);
+        ran.fetch_add(1);
+      });
+    }
+    // A far-future task holds no thread: an untimed task behind it runs
+    // at once, and destruction runs the timed one early instead of waiting.
+    pool.SubmitAt(start + std::chrono::hours(1), [&ran] { ran.fetch_add(1); });
+    pool.Submit([&prompt] { prompt.store(true); });
+    while ((ran.load() < 4 || !prompt.load()) &&
+           Clock::now() - start < std::chrono::seconds(10)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(prompt.load());
+    EXPECT_EQ(ran.load(), 4);
+  }
+  EXPECT_EQ(early.load(), 0);
+  EXPECT_EQ(ran.load(), 5);
 }
 
 }  // namespace

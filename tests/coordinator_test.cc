@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -633,6 +634,43 @@ TEST_F(CoordinatorTest, StatsCarryPerShardRoutingCounters) {
     EXPECT_EQ(shard.backend_errors, 0u);
     EXPECT_GT(shard.p99_us, 0u);
   }
+}
+
+TEST_F(CoordinatorTest, IdleClientConnectionsCostNoThreads) {
+  // mdsc runs on the shared reactor front end: its thread count is fixed
+  // at Start, so parking idle clients on it must not spawn anything.
+  auto count_threads = [] {
+    size_t threads = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)task;
+      ++threads;
+    }
+    return threads;
+  };
+
+  Topology t = Start({{shard2_[0]}, {shard2_[1]}});
+  QueryClient client = MustConnect(t.coordinator->port());
+  ASSERT_TRUE(client.PointCount(LocusBox(0.5)).ok());
+  const size_t threads_before = count_threads();
+
+  constexpr size_t kIdle = 64;
+  std::vector<Socket> idle;
+  for (size_t i = 0; i < kIdle; ++i) {
+    auto sock = TcpConnect("127.0.0.1", t.coordinator->port(), 5000);
+    ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+    idle.push_back(std::move(*sock));
+  }
+  // Wait until every idle connection has been accepted (a request still
+  // answers meanwhile), then count again.
+  for (int i = 0; i < 500; ++i) {
+    if (t.coordinator->Stats().connections_accepted >= kIdle + 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(t.coordinator->Stats().connections_accepted, kIdle + 1);
+  ASSERT_TRUE(client.PointCount(LocusBox(0.5)).ok());
+  EXPECT_EQ(count_threads(), threads_before)
+      << kIdle << " idle client connections must not cost threads";
 }
 
 }  // namespace

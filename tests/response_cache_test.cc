@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,12 +26,21 @@ std::vector<uint8_t> TailBytes(const ResponseCache::CachedReply& hit) {
   return std::vector<uint8_t>(hit.tail.data(), hit.tail.data() + hit.tail.size());
 }
 
+/// Copies `len` bytes into a slab slice — the form the server's reply
+/// path hands the cache.
+SlabPool::Slice SliceOf(const void* data, size_t len) {
+  SlabPool::Slice slice = SlabPool::Global().Allocate(len);
+  if (slice) std::memcpy(slice.data(), data, len);
+  return slice;
+}
+
 void Put(ResponseCache* cache, uint16_t type, uint64_t epoch,
          const std::string& body, const std::string& tail,
          uint32_t flags = 0) {
   const std::vector<uint8_t> b = Bytes(body);
   const std::vector<uint8_t> t = Bytes(tail);
-  cache->Insert(type, epoch, b.data(), b.size(), flags, t.data(), t.size());
+  cache->Insert(type, epoch, b.data(), b.size(), flags,
+                SliceOf(t.data(), t.size()));
 }
 
 bool Get(ResponseCache* cache, uint16_t type, uint64_t epoch,
@@ -67,7 +77,7 @@ TEST(ResponseCacheTest, MissesOnTypeEpochAndBody) {
 
 TEST(ResponseCacheTest, EmptyBodyAndEmptyTailAreValid) {
   ResponseCache cache(1 << 20, 1);
-  cache.Insert(3, 1, nullptr, 0, 0, nullptr, 0);
+  cache.Insert(3, 1, nullptr, 0, 0, SliceOf(nullptr, 0));
   ResponseCache::CachedReply hit;
   ASSERT_TRUE(cache.Lookup(3, 1, nullptr, 0, &hit));
   EXPECT_EQ(hit.tail.size(), 0u);
@@ -179,7 +189,7 @@ TEST(ResponseCacheTest, ByteAccountingExactAfterRandomizedReplaceEvict) {
       cache.Lookup(4, 1, b.data(), b.size(), &hit);
     } else {
       cache.Insert(4, 1, b.data(), b.size(), 0,
-                   reinterpret_cast<const uint8_t*>(tail.data()), tail_len);
+                   SliceOf(tail.data(), tail_len));
     }
     if (i % 997 == 0) {
       EXPECT_EQ(cache.Stats().bytes, cache.DebugRecomputeBytes());
@@ -221,7 +231,8 @@ TEST(ResponseCacheTest, ConcurrentHammeringHoldsByteBound) {
         const std::vector<uint8_t> b(body.begin(), body.end());
         if (i % 3 == 0) {
           const std::vector<uint8_t> tl(tail.begin(), tail.end());
-          cache.Insert(4, 1, b.data(), b.size(), 0, tl.data(), tl.size());
+          cache.Insert(4, 1, b.data(), b.size(), 0,
+                       SliceOf(tl.data(), tl.size()));
         } else {
           ResponseCache::CachedReply hit;
           if (cache.Lookup(4, 1, b.data(), b.size(), &hit)) {

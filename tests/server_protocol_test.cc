@@ -1,9 +1,11 @@
-// Protocol robustness: the mdsd wire codec and server must survive
-// truncated frames, oversized length prefixes, corrupted payloads, unknown
-// versions/types and slow-loris partial writes with clean connection
-// closes — never a crash, a hang, or a desynchronized reply. These tests
-// speak raw bytes (no QueryClient) so they can violate the protocol on
-// purpose; CI runs them under ASan and TSan.
+// Protocol robustness: the wire codec and both serving binaries must
+// survive truncated frames, oversized length prefixes, corrupted payloads,
+// unknown versions/types and slow-loris partial writes with clean
+// connection closes — never a crash, a hang, or a desynchronized reply.
+// mdsd and mdsc share one front end, so every live-abuse case runs against
+// both: mdsd itself, and mdsc scattering to one mdsd. These tests speak raw
+// bytes (no QueryClient) so they can violate the protocol on purpose; CI
+// runs them under ASan and TSan.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 
 #include "common/crc32c.h"
 #include "server/client.h"
+#include "server/coordinator.h"
 #include "server/dataset.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -255,7 +258,11 @@ TEST(ProtocolCodec, RejectsBadDimensionAndParameters) {
 
 // --- Live-server abuse ------------------------------------------------------
 
-class ServerProtocolTest : public ::testing::Test {
+/// Live servers shared by a suite: an mdsd under test, and an mdsc whose
+/// one shard is a second mdsd over the same dataset (with the default idle
+/// timeout, so the coordinator's pooled backend connections outlive the
+/// suite's fast slow-loris verdicts).
+class LiveServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     DatasetConfig config;
@@ -269,18 +276,55 @@ class ServerProtocolTest : public ::testing::Test {
     server_config.idle_timeout_ms = 1000;  // fast slow-loris verdicts
     server_ = new QueryServer(dataset_, server_config);
     ASSERT_TRUE(server_->Start().ok());
+
+    backend_ = new QueryServer(dataset_, ServerConfig{});
+    ASSERT_TRUE(backend_->Start().ok());
+    ShardMap map;
+    map.shards.push_back({{"127.0.0.1", backend_->port()}});
+    CoordinatorConfig coordinator_config;
+    coordinator_config.idle_timeout_ms = 1000;
+    coordinator_ = new Coordinator(map, coordinator_config);
+    ASSERT_TRUE(coordinator_->Start().ok());
   }
 
   static void TearDownTestSuite() {
+    coordinator_->Shutdown();
+    backend_->Shutdown();
     server_->Shutdown();
+    delete coordinator_;
+    delete backend_;
     delete server_;
     delete dataset_;
+    coordinator_ = nullptr;
+    backend_ = nullptr;
     server_ = nullptr;
     dataset_ = nullptr;
   }
 
+  static ServedDataset* dataset_;
+  static QueryServer* server_;
+  static QueryServer* backend_;
+  static Coordinator* coordinator_;
+};
+
+ServedDataset* LiveServerTest::dataset_ = nullptr;
+QueryServer* LiveServerTest::server_ = nullptr;
+QueryServer* LiveServerTest::backend_ = nullptr;
+Coordinator* LiveServerTest::coordinator_ = nullptr;
+
+/// Which binary a live-abuse case talks to.
+enum class Endpoint { kMdsd, kMdsc };
+
+class ServerProtocolTest : public LiveServerTest,
+                           public ::testing::WithParamInterface<Endpoint> {
+ protected:
+  static uint16_t Port() {
+    return GetParam() == Endpoint::kMdsd ? server_->port()
+                                         : coordinator_->port();
+  }
+
   static Socket MustConnect() {
-    auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
+    auto sock = TcpConnect("127.0.0.1", Port(), 5000);
     EXPECT_TRUE(sock.ok()) << sock.status().ToString();
     return std::move(*sock);
   }
@@ -295,21 +339,22 @@ class ServerProtocolTest : public ::testing::Test {
 
   /// The server must still answer a well-formed request after abuse.
   static void ExpectServerHealthy() {
-    auto client = QueryClient::Connect("127.0.0.1", server_->port());
+    auto client = QueryClient::Connect("127.0.0.1", Port());
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     auto health = client->Health();
     ASSERT_TRUE(health.ok()) << health.status().ToString();
     EXPECT_EQ(health->served_rows, dataset_->num_rows());
   }
-
-  static ServedDataset* dataset_;
-  static QueryServer* server_;
 };
 
-ServedDataset* ServerProtocolTest::dataset_ = nullptr;
-QueryServer* ServerProtocolTest::server_ = nullptr;
+INSTANTIATE_TEST_SUITE_P(
+    BothBinaries, ServerProtocolTest,
+    ::testing::Values(Endpoint::kMdsd, Endpoint::kMdsc),
+    [](const ::testing::TestParamInfo<Endpoint>& info) {
+      return info.param == Endpoint::kMdsd ? "mdsd" : "mdsc_over_mdsd";
+    });
 
-TEST_F(ServerProtocolTest, BadMagicClosesConnection) {
+TEST_P(ServerProtocolTest, BadMagicClosesConnection) {
   Socket sock = MustConnect();
   std::vector<uint8_t> junk(64, 0xAB);
   ASSERT_TRUE(
@@ -318,7 +363,7 @@ TEST_F(ServerProtocolTest, BadMagicClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, OversizedLengthPrefixClosesConnection) {
+TEST_P(ServerProtocolTest, OversizedLengthPrefixClosesConnection) {
   Socket sock = MustConnect();
   std::vector<uint8_t> frame;
   WireWriter w(&frame);
@@ -331,7 +376,7 @@ TEST_F(ServerProtocolTest, OversizedLengthPrefixClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, BadCrcClosesConnection) {
+TEST_P(ServerProtocolTest, BadCrcClosesConnection) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   EncodeMessageHeader(MessageHeader{}, &pw);
@@ -348,7 +393,7 @@ TEST_F(ServerProtocolTest, BadCrcClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, UnknownVersionClosesConnection) {
+TEST_P(ServerProtocolTest, UnknownVersionClosesConnection) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   MessageHeader header;
@@ -366,7 +411,7 @@ TEST_F(ServerProtocolTest, UnknownVersionClosesConnection) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, UnknownTypeGetsUnimplementedReply) {
+TEST_P(ServerProtocolTest, UnknownTypeGetsUnimplementedReply) {
   std::vector<uint8_t> payload;
   WireWriter pw(&payload);
   MessageHeader header;
@@ -393,7 +438,7 @@ TEST_F(ServerProtocolTest, UnknownTypeGetsUnimplementedReply) {
   EXPECT_EQ(remote.code(), StatusCode::kUnimplemented);
 }
 
-TEST_F(ServerProtocolTest, TruncatedBodyGetsErrorReply) {
+TEST_P(ServerProtocolTest, TruncatedBodyGetsErrorReply) {
   // Well-framed payload whose body stops mid-request: the frame passes CRC,
   // decode fails cleanly, and the server answers with a status instead of
   // crashing on the short buffer.
@@ -423,7 +468,7 @@ TEST_F(ServerProtocolTest, TruncatedBodyGetsErrorReply) {
   EXPECT_FALSE(remote.ok());
 }
 
-TEST_F(ServerProtocolTest, SlowLorisPartialFrameTimesOutCleanly) {
+TEST_P(ServerProtocolTest, SlowLorisPartialFrameTimesOutCleanly) {
   // Send half a valid frame, then stall. The per-frame idle deadline
   // (1 s in this suite) must reap the connection; the server stays up.
   std::vector<uint8_t> payload;
@@ -441,7 +486,7 @@ TEST_F(ServerProtocolTest, SlowLorisPartialFrameTimesOutCleanly) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, CachedReplyIsByteIdenticalOnTheWire) {
+TEST_F(LiveServerTest, CachedReplyIsByteIdenticalOnTheWire) {
   // A cache-enabled server must hand back the memoized reply byte for byte
   // — same payload, same CRC-able bytes — when the same request (including
   // request_id) repeats, and differ only in the echoed request_id when a
@@ -502,7 +547,7 @@ TEST_F(ServerProtocolTest, CachedReplyIsByteIdenticalOnTheWire) {
   server.Shutdown();
 }
 
-TEST_F(ServerProtocolTest, PipelinedBurstCorrelatesByRequestId) {
+TEST_P(ServerProtocolTest, PipelinedBurstCorrelatesByRequestId) {
   // Raw-wire pipelining: k request frames in one write, with request ids
   // deliberately out of ascending order. The server must answer every id
   // exactly once, and each reply must be byte-identical to the reply the
@@ -592,14 +637,14 @@ TEST_F(ServerProtocolTest, PipelinedBurstCorrelatesByRequestId) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, PeerCloseMidReplyLeavesServerServing) {
+TEST_P(ServerProtocolTest, PeerCloseMidReplyLeavesServerServing) {
   // A client that submits a large query and slams the connection shut (RST
   // via zero-linger) before reading the reply must cost the server nothing
   // but the wasted work: the reply write fails with a status — never a
   // SIGPIPE, which would kill the whole process.
   const size_t dim = dataset_->dim();
   for (int i = 0; i < 8; ++i) {
-    auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
+    auto sock = TcpConnect("127.0.0.1", Port(), 5000);
     ASSERT_TRUE(sock.ok());
     std::vector<uint8_t> payload;
     WireWriter pw(&payload);
@@ -634,14 +679,15 @@ TEST_F(ServerProtocolTest, PeerCloseMidReplyLeavesServerServing) {
   ExpectServerHealthy();
 }
 
-TEST_F(ServerProtocolTest, AbuseBarrageLeavesServerServing) {
+TEST_P(ServerProtocolTest, AbuseBarrageLeavesServerServing) {
   // A burst of mixed violations from several threads, then a correctness
   // probe: the server must still answer queries with exact results.
   std::vector<std::thread> abusers;
+  const uint16_t port = Port();
   for (int t = 0; t < 4; ++t) {
-    abusers.emplace_back([t] {
+    abusers.emplace_back([t, port] {
       for (int i = 0; i < 8; ++i) {
-        auto sock = TcpConnect("127.0.0.1", server_->port(), 5000);
+        auto sock = TcpConnect("127.0.0.1", port, 5000);
         if (!sock.ok()) continue;
         std::vector<uint8_t> junk((t * 8 + i) % 23 + 1,
                                   static_cast<uint8_t>(i * 37 + t));
