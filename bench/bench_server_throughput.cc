@@ -55,9 +55,11 @@ struct PhaseResult {
 /// each; every thread owns one connection and reconnects if an exchange
 /// fails. `distinct_boxes` != 0 folds the workload onto that many distinct
 /// query boxes (a repeated workload, the response cache's target shape);
-/// 0 keeps the full variety.
+/// 0 keeps the full variety. `until` (optional) holds every client in the
+/// loop until it turns true; each then sends `requests_per_client` more.
 PhaseResult RunClosedLoop(uint16_t port, size_t clients,
-                          int requests_per_client, size_t distinct_boxes = 0) {
+                          int requests_per_client, size_t distinct_boxes = 0,
+                          const std::atomic<bool>* until = nullptr) {
   bench::LatencyRecorder recorder;
   std::atomic<uint64_t> ok{0}, rejected{0}, failed{0};
   std::vector<std::thread> threads;
@@ -69,7 +71,8 @@ PhaseResult RunClosedLoop(uint16_t port, size_t clients,
         failed.fetch_add(static_cast<uint64_t>(requests_per_client));
         return;
       }
-      for (int i = 0; i < requests_per_client; ++i) {
+      for (int i = 0, after = 0; after < requests_per_client; ++i) {
+        if (until == nullptr || until->load()) ++after;
         size_t box_index = t * 131 + static_cast<size_t>(i);
         if (distinct_boxes != 0) box_index %= distinct_boxes;
         const Box box = SmallBox(box_index);
@@ -681,7 +684,9 @@ void Run(const bench::BenchOptions& options) {
     std::fflush(stdout);
 
     // Live swap: steady p99 first, then the same workload with a reload
-    // landing mid-run. Every request must succeed across the swap.
+    // landing mid-run. The live pass's clients keep going until the epoch
+    // flips, then for the steady pass's count again, so the swap always
+    // lands under load. Every request must succeed across the swap.
     {
       auto served = std::make_shared<const ServedDataset>(std::move(*loaded));
       ServerConfig config;
@@ -698,11 +703,16 @@ void Run(const bench::BenchOptions& options) {
           });
       MDS_CHECK(server.Start().ok());
 
+      // Warm pass over the same boxes: steady and live then both start
+      // from a warm cache, and only the swap's invalidation differs.
+      MDS_CHECK(RunClosedLoop(server.port(), 4, per_client).failed == 0);
       PhaseResult steady = RunClosedLoop(server.port(), 4, per_client);
       PrintPhase(options, "server_swap_steady", steady);
       MDS_CHECK(steady.failed == 0);
 
+      std::atomic<bool> swapped{false};
       std::thread admin([&] {
+        const uint64_t before = server.Stats().dataset_epoch;
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         auto client = QueryClient::Connect("127.0.0.1", server.port());
         MDS_CHECK(client.ok());
@@ -711,8 +721,13 @@ void Run(const bench::BenchOptions& options) {
         auto reply = client->Reload("", slow);
         MDS_CHECK(reply.ok());
         MDS_CHECK(reply->new_epoch == reply->old_epoch + 1);
+        while (server.Stats().dataset_epoch == before) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        swapped.store(true);
       });
-      PhaseResult swapping = RunClosedLoop(server.port(), 4, per_client);
+      PhaseResult swapping =
+          RunClosedLoop(server.port(), 4, per_client, 0, &swapped);
       admin.join();
       PrintPhase(options, "server_swap_live", swapping);
       MDS_CHECK(swapping.failed == 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace mds {
 
@@ -336,16 +337,19 @@ namespace {
 template <typename Scanner>
 Result<StorageQueryResult> DriveAccessPath(AccessPath* path, Scanner* scanner,
                                            QueryStats* st) {
-  StorageQueryResult result;
+  ScanOutput output;
   const uint64_t limit = path->limit();
   PlanStep step;
   while (path->NextStep(st, &step)) {
     ++st->plan_steps;
-    MDS_RETURN_NOT_OK(scanner->ScanStep(step, path->predicate(), limit, st,
-                                        &result.objids));
-    if (limit != 0 && result.objids.size() >= limit) break;
+    MDS_RETURN_NOT_OK(
+        scanner->ScanStep(step, path->predicate(), limit, st, &output));
+    if (limit != 0 && output.rows >= limit) break;
   }
   scanner->AccumulateIo(st);
+  StorageQueryResult result;
+  result.objids = std::move(output.objids);
+  result.row_count = output.rows;
   result.rows_scanned = st->rows_scanned;
   result.pages_read = st->pages_read;
   result.pages_fetched = st->pages_fetched;

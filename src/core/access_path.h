@@ -27,7 +27,8 @@ struct PointTableBinding {
 
 /// I/O-level result of a storage-backed query.
 struct StorageQueryResult {
-  std::vector<int64_t> objids;
+  std::vector<int64_t> objids;  ///< empty for a count-only execution
+  uint64_t row_count = 0;       ///< qualifying rows, in both modes
   uint64_t rows_scanned = 0;
   uint64_t pages_read = 0;     ///< physical page reads during the query
   uint64_t pages_fetched = 0;  ///< logical page fetches (hits + misses)
@@ -227,9 +228,11 @@ class TableSamplePath final : public AccessPath {
 Result<StorageQueryResult> ExecuteAccessPath(AccessPath* path,
                                              QueryStats* stats = nullptr);
 
-/// As above with an explicit degradation policy: pass
+/// As above with an explicit scan policy: pass
 /// ScanOptions{.skip_corrupt_pages = true} to turn checksum failures into
-/// a degraded (partial, flagged) result instead of a kCorruption error.
+/// a degraded (partial, flagged) result instead of a kCorruption error,
+/// and ScanOptions{.count_only = true} to get only row_count (objids
+/// stay empty; every counter is as in a materializing run).
 Result<StorageQueryResult> ExecuteAccessPath(
     AccessPath* path, const RangeScanner::ScanOptions& scan_options,
     QueryStats* stats = nullptr);
@@ -243,7 +246,7 @@ Result<StorageQueryResult> ExecuteAccessPath(
 Result<StorageQueryResult> ExecuteAccessPathParallel(
     AccessPath* path, unsigned num_threads, QueryStats* stats = nullptr);
 
-/// Parallel variant with an explicit degradation policy.
+/// Parallel variant with an explicit scan policy.
 Result<StorageQueryResult> ExecuteAccessPathParallel(
     AccessPath* path, unsigned num_threads,
     const RangeScanner::ScanOptions& scan_options, QueryStats* stats = nullptr);

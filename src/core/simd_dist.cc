@@ -1,6 +1,7 @@
 #include "core/simd_dist.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -50,7 +51,54 @@ void BoxScalar(const double* lo, const double* hi, const float* rows,
   }
 }
 
+/// Halfspace::Contains over every halfspace, term for term: the reference,
+/// and the path of every row with a non-finite coordinate.
+bool HalfspacesDense(const HalfspaceSet& set, const float* r) {
+  for (size_t h = 0; h < set.size(); ++h) {
+    const double* normal = set.normals.data() + h * set.dim;
+    double s = 0.0;
+    for (size_t j = 0; j < set.dim; ++j) s += normal[j] * r[j];
+    if (!(s <= set.offsets[h])) return false;
+  }
+  return true;
+}
+
+/// The same sums over the nonzero terms only; exact for finite rows.
+bool HalfspacesSparse(const HalfspaceSet& set, const float* r) {
+  uint32_t t = 0;
+  for (size_t h = 0; h < set.size(); ++h) {
+    double s = 0.0;
+    for (; t < set.term_end[h]; ++t) {
+      s += set.term_coef[t] * r[set.term_axis[t]];
+    }
+    if (!(s <= set.offsets[h])) return false;
+  }
+  return true;
+}
+
+bool RowFinite(const float* r, size_t dim) {
+  for (size_t j = 0; j < dim; ++j) {
+    if (!std::isfinite(r[j])) return false;
+  }
+  return true;
+}
+
+void HalfspacesScalar(const HalfspaceSet& set, const float* rows, size_t n,
+                      uint8_t* mask) {
+  for (size_t i = 0; i < n; ++i) {
+    const float* r = rows + i * set.dim;
+    mask[i] = (RowFinite(r, set.dim) ? HalfspacesSparse(set, r)
+                                     : HalfspacesDense(set, r))
+                  ? 1
+                  : 0;
+  }
+}
+
 #if defined(MDS_SIMD_HAVE_X86)
+
+/// The vector halfspace tiers stage a block's promoted coordinates on the
+/// stack, one column per axis; wider rows take the scalar tier.
+constexpr size_t kMaxStagedDim = 16;
 
 // --- SSE2 tier (baseline on x86-64): 2 double lanes --------------------------
 //
@@ -119,6 +167,56 @@ void BoxSse2(const double* lo, const double* hi, const float* rows, size_t n,
     mask[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);
   }
   if (i < n) BoxScalar(lo, hi, rows + i * dim, n - i, dim, mask + i);
+}
+
+void HalfspacesSse2(const HalfspaceSet& set, const float* rows, size_t n,
+                    uint8_t* mask) {
+  const size_t dim = set.dim;
+  if (dim > kMaxStagedDim) {
+    HalfspacesScalar(set, rows, n, mask);
+    return;
+  }
+  // Lane l of cols[2j..2j+1] is axis j of row i+l, promoted once per
+  // block and shared by every halfspace's terms.
+  alignas(16) double cols[2 * kMaxStagedDim];
+  const size_t count = set.size();
+  const uint32_t* term_end = set.term_end.data();
+  const uint32_t* axis = set.term_axis.data();
+  const double* coef = set.term_coef.data();
+  const double* offsets = set.offsets.data();
+  const __m128d zero = _mm_setzero_pd();
+  size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float* r0 = rows + i * dim;
+    const float* r1 = r0 + dim;
+    __m128d finite = _mm_castsi128_pd(_mm_set1_epi64x(-1));
+    for (size_t j = 0; j < dim; ++j) {
+      const __m128d v = Promote2(r0, r1, j);
+      // v - v is 0 for finite v and NaN for +-inf or NaN.
+      finite = _mm_and_pd(finite, _mm_cmpeq_pd(_mm_sub_pd(v, v), zero));
+      _mm_store_pd(cols + 2 * j, v);
+    }
+    __m128d in = _mm_castsi128_pd(_mm_set1_epi64x(-1));
+    uint32_t t = 0;
+    for (size_t h = 0; h < count; ++h) {
+      __m128d s = zero;
+      for (const uint32_t end = term_end[h]; t < end; ++t) {
+        const __m128d x = _mm_load_pd(cols + 2 * axis[t]);
+        s = _mm_add_pd(s, _mm_mul_pd(_mm_set1_pd(coef[t]), x));
+      }
+      // Ordered <=: a NaN sum fails, like the scalar `s <= offset`.
+      in = _mm_and_pd(in, _mm_cmple_pd(s, _mm_set1_pd(offsets[h])));
+      if (_mm_movemask_pd(in) == 0) break;  // both rows already out
+    }
+    const int bits = _mm_movemask_pd(in);
+    const int finite_bits = _mm_movemask_pd(finite);
+    for (int l = 0; l < 2; ++l) {
+      mask[i + l] = (finite_bits >> l) & 1
+                        ? static_cast<uint8_t>((bits >> l) & 1)
+                        : (HalfspacesDense(set, rows + (i + l) * dim) ? 1 : 0);
+    }
+  }
+  if (i < n) HalfspacesScalar(set, rows + i * dim, n - i, mask + i);
 }
 
 // --- AVX2 tier: 4 double lanes, reached only after a cpuid check -------------
@@ -245,6 +343,77 @@ __attribute__((target("avx2"))) void BoxAvx2(const double* lo,
   if (i < n) BoxScalar(lo, hi, rows + i * dim, n - i, dim, mask + i);
 }
 
+__attribute__((target("avx2"))) void HalfspacesAvx2(const HalfspaceSet& set,
+                                                    const float* rows,
+                                                    size_t n,
+                                                    uint8_t* mask) {
+  const size_t dim = set.dim;
+  if (dim > kMaxStagedDim) {
+    HalfspacesScalar(set, rows, n, mask);
+    return;
+  }
+  alignas(32) double cols[4 * kMaxStagedDim];
+  const size_t count = set.size();
+  const uint32_t* term_end = set.term_end.data();
+  const uint32_t* axis = set.term_axis.data();
+  const double* coef = set.term_coef.data();
+  const double* offsets = set.offsets.data();
+  const __m256d zero = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float* r0 = rows + i * dim;
+    const float* r1 = r0 + dim;
+    const float* r2 = r1 + dim;
+    const float* r3 = r2 + dim;
+    // Stage the block column by column (4x4 float transposes, as in
+    // Dist4Rows), flagging lanes whose row holds a non-finite value.
+    __m256d finite = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    size_t j = 0;
+    for (; j + 4 <= dim; j += 4) {
+      __m128 a0 = _mm_loadu_ps(r0 + j);
+      __m128 a1 = _mm_loadu_ps(r1 + j);
+      __m128 a2 = _mm_loadu_ps(r2 + j);
+      __m128 a3 = _mm_loadu_ps(r3 + j);
+      _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+      const __m128 c4[4] = {a0, a1, a2, a3};
+      for (size_t c = 0; c < 4; ++c) {
+        const __m256d v = _mm256_cvtps_pd(c4[c]);
+        finite = _mm256_and_pd(
+            finite, _mm256_cmp_pd(_mm256_sub_pd(v, v), zero, _CMP_EQ_OQ));
+        _mm256_store_pd(cols + 4 * (j + c), v);
+      }
+    }
+    for (; j < dim; ++j) {
+      const __m256d v = Promote4(r0, r1, r2, r3, j);
+      finite = _mm256_and_pd(
+          finite, _mm256_cmp_pd(_mm256_sub_pd(v, v), zero, _CMP_EQ_OQ));
+      _mm256_store_pd(cols + 4 * j, v);
+    }
+    __m256d in = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    uint32_t t = 0;
+    for (size_t h = 0; h < count; ++h) {
+      __m256d s = zero;
+      for (const uint32_t end = term_end[h]; t < end; ++t) {
+        const __m256d x = _mm256_load_pd(cols + 4 * axis[t]);
+        // Explicit mul-then-add, never fmadd (see Dist4Rows).
+        s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(coef[t]), x));
+      }
+      // LE_OQ: a NaN sum fails, like the scalar `s <= offset`.
+      in = _mm256_and_pd(
+          in, _mm256_cmp_pd(s, _mm256_set1_pd(offsets[h]), _CMP_LE_OQ));
+      if (_mm256_movemask_pd(in) == 0) break;  // all four rows already out
+    }
+    const int bits = _mm256_movemask_pd(in);
+    const int finite_bits = _mm256_movemask_pd(finite);
+    for (int l = 0; l < 4; ++l) {
+      mask[i + l] = (finite_bits >> l) & 1
+                        ? static_cast<uint8_t>((bits >> l) & 1)
+                        : (HalfspacesDense(set, rows + (i + l) * dim) ? 1 : 0);
+    }
+  }
+  if (i < n) HalfspacesScalar(set, rows + i * dim, n - i, mask + i);
+}
+
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
 
 #endif  // MDS_SIMD_HAVE_X86
@@ -367,6 +536,33 @@ void BoxContainsBatch(const double* lo, const double* hi, const float* rows,
 #endif
     default:
       BoxScalar(lo, hi, rows, n, dim, mask);
+  }
+}
+
+void HalfspaceSet::Add(const double* normal, double offset) {
+  normals.insert(normals.end(), normal, normal + dim);
+  offsets.push_back(offset);
+  for (size_t j = 0; j < dim; ++j) {
+    if (normal[j] == 0.0) continue;  // +0 and -0 alike; NaN is kept
+    term_axis.push_back(static_cast<uint32_t>(j));
+    term_coef.push_back(normal[j]);
+  }
+  term_end.push_back(static_cast<uint32_t>(term_axis.size()));
+}
+
+void HalfspacesContainBatch(const HalfspaceSet& set, const float* rows,
+                            size_t n, uint8_t* mask) {
+  switch (ActiveSimdTier()) {
+#if defined(MDS_SIMD_HAVE_X86)
+    case SimdTier::kAvx2:
+      HalfspacesAvx2(set, rows, n, mask);
+      return;
+    case SimdTier::kSse2:
+      HalfspacesSse2(set, rows, n, mask);
+      return;
+#endif
+    default:
+      HalfspacesScalar(set, rows, n, mask);
   }
 }
 

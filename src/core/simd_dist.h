@@ -3,21 +3,24 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace mds {
 
-/// Runtime-dispatched SIMD kernels for the two per-row operations every
+/// Runtime-dispatched SIMD kernels for the three per-row operations every
 /// scan hot loop reduces to: squared Euclidean distance from one probe to
 /// many clustered float rows (kd-tree leaf scans, brute-force kNN, the
-/// Voronoi walk) and axis-interval containment of many rows in one box
-/// (the partial-range filter).
+/// Voronoi walk), axis-interval containment of many rows in one box (the
+/// box partial-range filter) and membership of many rows in an
+/// intersection of halfspaces (the polyhedron partial-range filter).
 ///
 /// Bit-exactness contract: every kernel produces results BIT-IDENTICAL to
 /// the scalar reference (`SquaredDistance` in geom/point_set.h,
-/// `Box::Contains` in geom/box.cc) on every input, including NaN and
-/// infinity. The vector kernels achieve this by vectorizing ACROSS rows —
-/// one vector lane per row — so each lane performs exactly the scalar
-/// op sequence (promote float to double, subtract, multiply, add, in
+/// `Box::Contains` in geom/box.cc, `Halfspace::Contains` in
+/// geom/polyhedron.h) on every input, including NaN and infinity. The
+/// vector kernels achieve this by vectorizing ACROSS rows — one vector
+/// lane per row — so each lane performs exactly the scalar op sequence
+/// (promote float to double, subtract or scale, multiply, add, in
 /// dimension order) in IEEE double with no FMA contraction and no
 /// reassociation. Callers may therefore switch tiers freely without
 /// changing any observable result: neighbor sets, tie ordering and wire
@@ -68,6 +71,40 @@ void SquaredDistanceGather(const double* p, const float* points,
 /// counts as contained.
 void BoxContainsBatch(const double* lo, const double* hi, const float* rows,
                       size_t n, size_t dim, uint8_t* mask);
+
+/// An intersection of halfspaces {x : normal . x <= offset}, flattened
+/// once for HalfspacesContainBatch. Each halfspace keeps its dense normal
+/// (the reference for rows with a non-finite coordinate) and the list of
+/// its nonzero terms (what finite rows are evaluated over). Build it with
+/// Add; the arrays are read-only afterwards.
+struct HalfspaceSet {
+  explicit HalfspaceSet(size_t dimension) : dim(dimension) {}
+
+  /// Appends {x : normal . x <= offset}; `normal` has `dim` entries.
+  void Add(const double* normal, double offset);
+
+  size_t size() const { return offsets.size(); }
+
+  size_t dim;
+  std::vector<double> normals;      ///< size() x dim, row-major
+  std::vector<double> offsets;      ///< one per halfspace
+  std::vector<uint32_t> term_end;   ///< halfspace h owns nonzero terms
+                                    ///< [term_end[h-1], term_end[h])
+  std::vector<uint32_t> term_axis;  ///< axis of each nonzero term
+  std::vector<double> term_coef;    ///< its normal component
+};
+
+/// mask[i] = 1 iff row i (set.dim floats at rows + i*set.dim) satisfies
+/// every halfspace of `set`, bit-identical to Halfspace::Contains: per
+/// halfspace the row is promoted to double and accumulated from 0.0 in
+/// axis order with a multiply then an add (no FMA), and compared with
+/// `s <= offset` (NaN fails). A finite row is evaluated over the nonzero
+/// terms only, which is exact: 0 * x is +-0 for finite x, a sum started
+/// at +0.0 never becomes -0.0, and adding +-0 to any other value leaves
+/// it unchanged. A row with any non-finite coordinate takes the dense
+/// reference, where 0 * inf = NaN must show.
+void HalfspacesContainBatch(const HalfspaceSet& set, const float* rows,
+                            size_t n, uint8_t* mask);
 
 }  // namespace mds
 

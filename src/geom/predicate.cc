@@ -1,8 +1,18 @@
 #include "geom/predicate.h"
 
-#include "core/simd_dist.h"
-
 namespace mds {
+
+PolyhedronPredicate::PolyhedronPredicate(const Polyhedron* poly)
+    : poly_(poly), halfspaces_(poly->dim()) {
+  for (const Halfspace& h : poly->halfspaces()) {
+    halfspaces_.Add(h.normal.data(), h.offset);
+  }
+}
+
+void PolyhedronPredicate::MatchBatch(const float* rows, size_t n,
+                                     uint8_t* mask) const {
+  HalfspacesContainBatch(halfspaces_, rows, n, mask);
+}
 
 void BoxPredicate::MatchBatch(const float* rows, size_t n,
                               uint8_t* mask) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "core/simd_dist.h"
 #include "geom/box.h"
 #include "geom/polyhedron.h"
 
@@ -25,13 +26,11 @@ class SpatialPredicate {
   virtual bool Matches(const float* p) const = 0;
 
   /// Batch membership over `n` contiguous dim()-float rows:
-  /// mask[i] = Matches(rows + i*dim()), bit-for-bit. The default is the
-  /// scalar loop; predicates with a vector kernel (BoxPredicate) override
-  /// it. Scanners call this once per decoded page instead of n virtual
-  /// calls.
-  virtual void MatchBatch(const float* rows, size_t n, uint8_t* mask) const {
-    for (size_t i = 0; i < n; ++i) mask[i] = Matches(rows + i * dim()) ? 1 : 0;
-  }
+  /// mask[i] = Matches(rows + i*dim()), bit-for-bit, through a vector
+  /// kernel (core/simd_dist.h). Scanners call this once per decoded page
+  /// instead of n virtual calls.
+  virtual void MatchBatch(const float* rows, size_t n,
+                          uint8_t* mask) const = 0;
 
   /// Classifies a candidate bounding box against the region, with the same
   /// conservative contract as Polyhedron::Classify: kInside and kOutside
@@ -39,13 +38,17 @@ class SpatialPredicate {
   virtual BoxClass Classify(const Box& box) const = 0;
 };
 
-/// View of a convex Polyhedron as a predicate.
+/// View of a convex Polyhedron as a predicate. The constructor compiles
+/// the halfspaces once into the flat arrays of the batch kernel.
 class PolyhedronPredicate final : public SpatialPredicate {
  public:
-  explicit PolyhedronPredicate(const Polyhedron* poly) : poly_(poly) {}
+  explicit PolyhedronPredicate(const Polyhedron* poly);
 
   size_t dim() const override { return poly_->dim(); }
   bool Matches(const float* p) const override { return poly_->Contains(p); }
+  /// SIMD halfspace test (core/simd_dist.h), bit-identical to
+  /// Polyhedron::Contains.
+  void MatchBatch(const float* rows, size_t n, uint8_t* mask) const override;
   BoxClass Classify(const Box& box) const override {
     return poly_->Classify(box);
   }
@@ -54,6 +57,7 @@ class PolyhedronPredicate final : public SpatialPredicate {
 
  private:
   const Polyhedron* poly_;
+  HalfspaceSet halfspaces_;
 };
 
 /// View of an axis-aligned Box as a predicate. Box-vs-box classification

@@ -25,7 +25,7 @@ protocol::QueryReply MakeQueryReply(MessageType type, uint64_t limit,
                                     const QueryStats& stats) {
   protocol::QueryReply reply;
   reply.chosen_path = std::move(chosen_path);
-  reply.row_count = result.objids.size();
+  reply.row_count = result.row_count;
   if (type == MessageType::kBoxQuery || type == MessageType::kTableSample) {
     reply.objids = std::move(result.objids);
     if (limit != 0 && reply.objids.size() > limit) reply.objids.resize(limit);
@@ -36,6 +36,15 @@ protocol::QueryReply MakeQueryReply(MessageType type, uint64_t limit,
   reply.pages_skipped = stats.pages_skipped;
   reply.degraded = result.degraded;
   return reply;
+}
+
+/// The scan policy a request asks for: skip-corrupt from its flags, and
+/// count-only for a point count, whose reply carries no objids.
+RangeScanner::ScanOptions ScanOptionsFor(const protocol::MessageHeader& h) {
+  RangeScanner::ScanOptions scan;
+  scan.skip_corrupt_pages = (h.flags & protocol::kFlagSkipCorrupt) != 0;
+  scan.count_only = h.type == MessageType::kPointCount;
+  return scan;
 }
 
 }  // namespace
@@ -220,6 +229,7 @@ void QueryServer::HandleBatch(Batch* batch) {
   std::vector<GangSlot> slots(batch->size());
   std::vector<AccessPath*> gang_paths;
   std::vector<size_t> gang_slots;  // slot index per gang_paths entry
+  QueryEngine::BatchOptions options;
 
   for (size_t i = 0; i < batch->size(); ++i) {
     Request* req = &(*batch)[i];
@@ -263,6 +273,7 @@ void QueryServer::HandleBatch(Batch* batch) {
     }
     gang_paths.push_back(slot->chosen);
     gang_slots.push_back(i);
+    options.scan.push_back(ScanOptionsFor(req->header));
   }
 
   if (gang_paths.empty()) return;
@@ -270,7 +281,6 @@ void QueryServer::HandleBatch(Batch* batch) {
   // Inline on this worker (num_threads=1): parallelism across requests
   // comes from the worker pool itself — the single MDS_QUERY_THREADS knob
   // keeps bounding total execution concurrency.
-  QueryEngine::BatchOptions options;
   options.num_threads = 1;
   std::vector<QueryStats> stats;
   std::vector<Result<StorageQueryResult>> results =
@@ -302,9 +312,7 @@ Status QueryServer::ExecuteBoxLike(const Request& req,
   WireReader r(req.body(), req.body_size());
   const PointTableBinding& binding = req.dataset->binding();
 
-  RangeScanner::ScanOptions scan;
-  scan.skip_corrupt_pages =
-      (req.header.flags & protocol::kFlagSkipCorrupt) != 0;
+  const RangeScanner::ScanOptions scan = ScanOptionsFor(req.header);
 
   QueryStats stats;
   Result<StorageQueryResult> result =

@@ -125,7 +125,9 @@ class WireReader {
       std::memset(out, 0, n);
       return;
     }
-    std::memcpy(out, data_ + pos_, n);
+    // An empty vector's data() may be null, and memcpy's pointers must
+    // not be even for zero bytes.
+    if (n != 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
 

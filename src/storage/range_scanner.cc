@@ -37,9 +37,9 @@ RangeScanner::RangeScanner(const Table* table, const Layout& layout,
 Status RangeScanner::ScanStep(const PlanStep& step,
                               const SpatialPredicate& predicate,
                               uint64_t limit, QueryStats* stats,
-                              std::vector<int64_t>* out) {
+                              ScanOutput* out) {
   for (const RowRange& range : step.ranges) {
-    if (limit != 0 && out->size() >= limit) return Status::OK();
+    if (limit != 0 && out->rows >= limit) return Status::OK();
     if (range.kind == RangeKind::kFull) {
       ++stats->ranges_full;
     } else {
@@ -53,7 +53,7 @@ Status RangeScanner::ScanStep(const PlanStep& step,
 Status RangeScanner::ScanRange(const RowRange& range,
                                const SpatialPredicate& predicate,
                                uint64_t limit, QueryStats* stats,
-                               std::vector<int64_t>* out) {
+                               ScanOutput* out) {
   if (range.begin > range.end || range.end > table_->num_rows()) {
     return Status::OutOfRange("RangeScanner: bad row range");
   }
@@ -89,23 +89,31 @@ Status RangeScanner::ScanRange(const RowRange& range,
     if (physical) ++pages_read_;
     const uint8_t* base = guard.page().bytes() + first_in_page * row_size;
 
+    // Rows of this page the TOP(limit) mark still admits; on entry
+    // out->rows < limit, so at least one.
+    const uint64_t room =
+        limit == 0 ? rows_here : std::min(rows_here, limit - out->rows);
     if (range.kind == RangeKind::kFull) {
       // The BETWEEN case: every row qualifies, only the objid column is
-      // decoded.
-      for (uint64_t i = 0; i < rows_here; ++i) {
-        int64_t objid;
-        std::memcpy(&objid, base + i * row_size + objid_off, sizeof(objid));
-        out->push_back(objid);
-        ++stats->rows_scanned;
-        ++stats->rows_emitted;
-        if (limit != 0 && out->size() >= limit) return Status::OK();
+      // decoded (and not even that when counting).
+      if (!options_.count_only) {
+        for (uint64_t i = 0; i < room; ++i) {
+          int64_t objid;
+          std::memcpy(&objid, base + i * row_size + objid_off,
+                      sizeof(objid));
+          out->objids.push_back(objid);
+        }
       }
+      stats->rows_scanned += room;
+      stats->rows_emitted += room;
+      out->rows += room;
     } else {
       // Batched page decode: gather the page's coordinate columns into one
       // contiguous buffer, then run the predicate over the batch. The
-      // membership mask is computed page-at-a-time (SIMD for boxes); the
-      // emit loop and its counters are row-exact regardless, matching the
-      // per-row Matches path bit for bit.
+      // membership mask is computed page-at-a-time (SIMD kernels); the
+      // counters are row-exact regardless, matching the per-row Matches
+      // path bit for bit: the scan stops on the row that reaches the
+      // limit.
       for (uint64_t i = 0; i < rows_here; ++i) {
         std::memcpy(&coord_batch_[i * dim], base + i * row_size + coord_off,
                     dim * sizeof(float));
@@ -113,17 +121,26 @@ Status RangeScanner::ScanRange(const RowRange& range,
       match_mask_.resize(rows_here);
       predicate.MatchBatch(coord_batch_.data(), rows_here,
                            match_mask_.data());
-      for (uint64_t i = 0; i < rows_here; ++i) {
-        ++stats->rows_scanned;
-        ++stats->rows_tested;
-        if (match_mask_[i] == 0) continue;
-        int64_t objid;
-        std::memcpy(&objid, base + i * row_size + objid_off, sizeof(objid));
-        out->push_back(objid);
-        ++stats->rows_emitted;
-        if (limit != 0 && out->size() >= limit) return Status::OK();
+      uint64_t tested = 0;
+      uint64_t matched = 0;
+      while (tested < rows_here && matched < room) {
+        matched += match_mask_[tested++];
       }
+      if (!options_.count_only) {
+        for (uint64_t i = 0; i < tested; ++i) {
+          if (match_mask_[i] == 0) continue;
+          int64_t objid;
+          std::memcpy(&objid, base + i * row_size + objid_off,
+                      sizeof(objid));
+          out->objids.push_back(objid);
+        }
+      }
+      stats->rows_scanned += tested;
+      stats->rows_tested += tested;
+      stats->rows_emitted += matched;
+      out->rows += matched;
     }
+    if (limit != 0 && out->rows >= limit) return Status::OK();
     row += rows_here;
   }
   return Status::OK();
@@ -147,7 +164,10 @@ ParallelRangeScanner::ParallelRangeScanner(const Table* table,
 ParallelRangeScanner::ParallelRangeScanner(
     const Table* table, const RangeScanner::Layout& layout,
     unsigned num_threads, const RangeScanner::ScanOptions& options)
-    : table_(table), layout_(layout), pool_(num_threads) {
+    : table_(table),
+      layout_(layout),
+      count_only_(options.count_only),
+      pool_(num_threads) {
   workers_.reserve(pool_.num_threads());
   for (unsigned w = 0; w < pool_.num_threads(); ++w) {
     workers_.emplace_back(table, layout, options);
@@ -158,7 +178,7 @@ ParallelRangeScanner::ParallelRangeScanner(
 Status ParallelRangeScanner::ScanStep(const PlanStep& step,
                                       const SpatialPredicate& predicate,
                                       uint64_t limit, QueryStats* stats,
-                                      std::vector<int64_t>* out) {
+                                      ScanOutput* out) {
   // Range counters come from the original (un-split) step so the parallel
   // scan reports the same plan shape as the serial one.
   uint64_t total_rows = 0;
@@ -171,7 +191,7 @@ Status ParallelRangeScanner::ScanStep(const PlanStep& step,
     }
   }
   const uint64_t remaining =
-      limit == 0 ? 0 : (out->size() >= limit ? 0 : limit - out->size());
+      limit == 0 ? 0 : (out->rows >= limit ? 0 : limit - out->rows);
   if (limit != 0 && remaining == 0) return Status::OK();
 
   const unsigned threads = pool_.num_threads();
@@ -220,7 +240,7 @@ Status ParallelRangeScanner::ScanStep(const PlanStep& step,
   }
 
   std::vector<QueryStats> worker_stats(threads);
-  std::vector<std::vector<int64_t>> worker_out(threads);
+  std::vector<ScanOutput> worker_out(threads);
   std::vector<Status> worker_status(threads);
   pool_.Run([&](unsigned worker) {
     if (partitions_[worker].empty()) return;
@@ -246,15 +266,19 @@ Status ParallelRangeScanner::ScanStep(const PlanStep& step,
   // truncating at the limit, so the emitted sequence matches serial.
   uint64_t emitted = 0;
   for (unsigned i = 0; i < threads; ++i) {
-    uint64_t take = worker_out[i].size();
+    uint64_t take = worker_out[i].rows;
     if (limit != 0) {
-      const uint64_t room = limit - out->size();
+      const uint64_t room = limit - out->rows;
       take = std::min<uint64_t>(take, room);
     }
-    out->insert(out->end(), worker_out[i].begin(),
-                worker_out[i].begin() + static_cast<ptrdiff_t>(take));
+    if (!count_only_) {
+      const std::vector<int64_t>& ids = worker_out[i].objids;
+      out->objids.insert(out->objids.end(), ids.begin(),
+                         ids.begin() + static_cast<ptrdiff_t>(take));
+    }
+    out->rows += take;
     emitted += take;
-    if (limit != 0 && out->size() >= limit) break;
+    if (limit != 0 && out->rows >= limit) break;
   }
   stats->rows_emitted += emitted;
   return Status::OK();

@@ -68,6 +68,15 @@ struct QueryStats {
   bool degraded = false;       ///< true iff pages_skipped > 0 anywhere
 };
 
+/// Where a scan's qualifying rows go. A materializing scan appends their
+/// objids in plan order; a count-only scan (ScanOptions::count_only) only
+/// counts them. `rows` is the number of qualifying rows so far in both
+/// modes, and the TOP(limit) mark is taken against it.
+struct ScanOutput {
+  std::vector<int64_t> objids;
+  uint64_t rows = 0;
+};
+
 /// Sorts ranges by begin row and coalesces touching or overlapping ranges
 /// of the same kind, so consecutive cell / leaf ranges sharing a page are
 /// scanned in one pass. Ranges of different kinds are never merged.
@@ -104,21 +113,27 @@ class RangeScanner {
   /// as kCorruption and aborts the scan; skip mode drops the corrupt
   /// page's rows, counts it in QueryStats::pages_skipped and marks the
   /// result degraded — the explicit partial-answer contract.
+  ///
+  /// Count-only scans (a point count needs no objids) pin and account
+  /// every page exactly as a materializing scan does, so every QueryStats
+  /// counter is the same in both modes; they only skip decoding and
+  /// copying objids. A `full` range adds its page's row count, a
+  /// `partial` range sums its match mask.
   struct ScanOptions {
     bool skip_corrupt_pages = false;
+    bool count_only = false;
   };
 
   RangeScanner(const Table* table, const Layout& layout);
   RangeScanner(const Table* table, const Layout& layout,
                const ScanOptions& options);
 
-  /// Scans one plan step, appending qualifying objids to `out` and
-  /// updating row counters in `stats`. `limit` (0 = none) stops the scan
-  /// exactly when `out` reaches `limit` rows — the TOP(n) clause.
+  /// Scans one plan step, adding qualifying rows to `out` and updating
+  /// row counters in `stats`. `limit` (0 = none) stops the scan exactly
+  /// when `out->rows` reaches `limit` — the TOP(n) clause.
   /// Single-threaded per scanner; see class comment.
   Status ScanStep(const PlanStep& step, const SpatialPredicate& predicate,
-                  uint64_t limit, QueryStats* stats,
-                  std::vector<int64_t>* out);
+                  uint64_t limit, QueryStats* stats, ScanOutput* out);
 
   /// Adds the page fetches/misses this scanner performed since
   /// construction (or since the previous call) to `stats` and resets the
@@ -129,8 +144,7 @@ class RangeScanner {
 
  private:
   Status ScanRange(const RowRange& range, const SpatialPredicate& predicate,
-                   uint64_t limit, QueryStats* stats,
-                   std::vector<int64_t>* out);
+                   uint64_t limit, QueryStats* stats, ScanOutput* out);
 
   const Table* table_;
   Layout layout_;
@@ -174,8 +188,7 @@ class ParallelRangeScanner {
   /// Parallel equivalent of RangeScanner::ScanStep; same contract, same
   /// counters (see class comment for the limit != 0 caveat).
   Status ScanStep(const PlanStep& step, const SpatialPredicate& predicate,
-                  uint64_t limit, QueryStats* stats,
-                  std::vector<int64_t>* out);
+                  uint64_t limit, QueryStats* stats, ScanOutput* out);
 
   /// Adds the pooled workers' page fetch/miss tallies to `stats` (exactly
   /// like RangeScanner::AccumulateIo, summed over workers).
@@ -186,6 +199,7 @@ class ParallelRangeScanner {
  private:
   const Table* table_;
   RangeScanner::Layout layout_;
+  bool count_only_;
   TaskPool pool_;
   std::vector<RangeScanner> workers_;  // one per pool thread
   // Sub-ranges assigned per worker, rebuilt each ScanStep (page-aligned).

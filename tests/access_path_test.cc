@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "core/access_path.h"
@@ -286,6 +287,164 @@ TEST_F(AccessPathTest, TableSamplePathHonorsTopNLimit) {
   EXPECT_EQ(result->objids.size(), 100u);
   EXPECT_EQ(stats.rows_emitted, 100u);
   EXPECT_LT(stats.rows_scanned, catalog_->size());
+}
+
+/// Every QueryStats field, compared one by one.
+void ExpectSameStats(const QueryStats& a, const QueryStats& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.plan_steps, b.plan_steps) << what;
+  EXPECT_EQ(a.ranges_full, b.ranges_full) << what;
+  EXPECT_EQ(a.ranges_partial, b.ranges_partial) << what;
+  EXPECT_EQ(a.cells_full, b.cells_full) << what;
+  EXPECT_EQ(a.cells_partial, b.cells_partial) << what;
+  EXPECT_EQ(a.cells_pruned, b.cells_pruned) << what;
+  EXPECT_EQ(a.rows_scanned, b.rows_scanned) << what;
+  EXPECT_EQ(a.rows_tested, b.rows_tested) << what;
+  EXPECT_EQ(a.rows_emitted, b.rows_emitted) << what;
+  EXPECT_EQ(a.pages_fetched, b.pages_fetched) << what;
+  EXPECT_EQ(a.pages_read, b.pages_read) << what;
+  EXPECT_EQ(a.pages_skipped, b.pages_skipped) << what;
+  EXPECT_EQ(a.degraded, b.degraded) << what;
+}
+
+/// Builds a fresh (single-use) path for one run; `rng` is reseeded per run
+/// so a sampling path draws the same pages every time.
+using PathFactory = std::function<std::unique_ptr<AccessPath>(Rng* rng)>;
+
+/// Runs the path materializing and count-only, serially and through
+/// ExecuteAccessPathParallel(..., 4): the count-only runs must report the
+/// materializing run's row count with no objids and every counter equal.
+/// Returns the serial materializing result for further checks.
+StorageQueryResult ExpectCountOnlyParity(const PathFactory& make,
+                                         RangeScanner::ScanOptions scan) {
+  StorageQueryResult reference;
+  for (const bool parallel : {false, true}) {
+    StorageQueryResult result[2];
+    QueryStats stats[2];
+    std::string name;
+    for (const bool count_only : {false, true}) {
+      Rng rng(29);
+      std::unique_ptr<AccessPath> path = make(&rng);
+      name = path->name();
+      scan.count_only = count_only;
+      auto r = parallel ? ExecuteAccessPathParallel(path.get(), 4, scan,
+                                                    &stats[count_only])
+                        : ExecuteAccessPath(path.get(), scan,
+                                            &stats[count_only]);
+      EXPECT_TRUE(r.ok()) << name << ": " << r.status().ToString();
+      if (!r.ok()) return reference;
+      result[count_only] = std::move(*r);
+    }
+    const std::string what =
+        name + (parallel ? " parallel" : " serial");
+    const StorageQueryResult& full = result[0];
+    const StorageQueryResult& counted = result[1];
+    EXPECT_EQ(full.row_count, full.objids.size()) << what;
+    EXPECT_EQ(full.row_count, stats[0].rows_emitted) << what;
+    EXPECT_EQ(counted.row_count, full.row_count) << what;
+    EXPECT_TRUE(counted.objids.empty()) << what;
+    EXPECT_EQ(counted.rows_scanned, full.rows_scanned) << what;
+    EXPECT_EQ(counted.pages_fetched, full.pages_fetched) << what;
+    EXPECT_EQ(counted.pages_read, full.pages_read) << what;
+    EXPECT_EQ(counted.pages_skipped, full.pages_skipped) << what;
+    EXPECT_EQ(counted.degraded, full.degraded) << what;
+    ExpectSameStats(stats[0], stats[1], what);
+    if (!parallel) reference = result[0];
+  }
+  return reference;
+}
+
+TEST_F(AccessPathTest, CountOnlyMatchesMaterializingOnEveryPath) {
+  const Box box = LocusBox(0.8);
+  const Polyhedron poly = Polyhedron::FromBox(box);
+  double mags[kNumBands];
+  StellarLocus(0.5, 0.0, mags);
+  const Polyhedron ball = Polyhedron::BallApproximation(
+      std::vector<double>(mags, mags + kNumBands), 0.9, 40);
+  const Box everything = Box::Bounding(catalog_->colors);
+  const PointTableBinding heap = BindPointTable(heap_table_, kNumBands);
+  const PointTableBinding kd = BindPointTable(kd_table_, kNumBands);
+  const PointTableBinding voronoi = BindPointTable(voronoi_table_, kNumBands);
+  const RangeScanner::ScanOptions strict;
+
+  const std::vector<PathFactory> cases = {
+      [&](Rng*) { return std::make_unique<FullScanPath>(heap, box); },
+      [&](Rng*) { return std::make_unique<FullScanPath>(heap, ball); },
+      [&](Rng*) { return std::make_unique<KdTreePath>(kd, *kd_index_, poly); },
+      [&](Rng*) { return std::make_unique<KdTreePath>(kd, *kd_index_, ball); },
+      [&](Rng*) {
+        return std::make_unique<VoronoiPath>(voronoi, *voronoi_index_, poly);
+      },
+      // TOP(n): the scan stops on the row that reaches the limit, in both
+      // modes.
+      [&](Rng* rng) {
+        return std::make_unique<TableSamplePath>(heap, everything, 50.0, 777,
+                                                 rng);
+      },
+  };
+  for (const PathFactory& make : cases) {
+    const StorageQueryResult r = ExpectCountOnlyParity(make, strict);
+    EXPECT_GT(r.row_count, 0u);
+  }
+  // The polyhedron paths answer exactly, in both modes.
+  EXPECT_EQ(ExpectCountOnlyParity(cases[2], strict).row_count,
+            BruteForce(poly).size());
+  EXPECT_EQ(ExpectCountOnlyParity(cases[1], strict).row_count,
+            BruteForce(ball).size());
+}
+
+TEST_F(AccessPathTest, CountOnlyMatchesMaterializingOverCorruptPages) {
+  // The kd-clustered table written through torn writes: some pages fail
+  // their checksum on every read, deterministically, so skip mode drops
+  // the same pages in every run.
+  MemPager base;
+  FaultConfig faults;
+  faults.seed = 5;
+  faults.p_torn_write = 0.05;
+  FaultInjectionPager torn(&base, faults);
+  std::vector<PageId> page_ids;
+  uint64_t num_rows = 0;
+  {
+    BufferPool pool(&torn, 64);
+    auto table = MaterializePointTable(&pool, catalog_->colors,
+                                       kd_index_->clustered_order());
+    ASSERT_TRUE(table.ok());
+    num_rows = table->num_rows();
+    for (uint64_t p = 0; p < table->num_pages(); ++p) {
+      page_ids.push_back(table->page_id(p));
+    }
+    ASSERT_TRUE(pool.FlushAll().ok());
+  }
+  ASSERT_GT(torn.stats().torn_writes, 0u);
+
+  const Box box = LocusBox(1.2);
+  const Polyhedron poly = Polyhedron::FromBox(box);
+  // A fresh pool per run: quarantine is per pool, and every run must pay
+  // the same physical reads.
+  std::vector<std::unique_ptr<BufferPool>> pools;
+  std::vector<std::unique_ptr<Table>> tables;
+  auto attach = [&]() -> PointTableBinding {
+    pools.push_back(std::make_unique<BufferPool>(&base, 1024));
+    auto table = Table::Attach(pools.back().get(), PointTableSchema(kNumBands),
+                               page_ids, num_rows);
+    MDS_CHECK(table.ok());
+    tables.push_back(std::make_unique<Table>(std::move(*table)));
+    return BindPointTable(tables.back().get(), kNumBands);
+  };
+  RangeScanner::ScanOptions skip;
+  skip.skip_corrupt_pages = true;
+  const StorageQueryResult scanned = ExpectCountOnlyParity(
+      [&](Rng*) { return std::make_unique<FullScanPath>(attach(), box); },
+      skip);
+  const StorageQueryResult planned = ExpectCountOnlyParity(
+      [&](Rng*) {
+        return std::make_unique<KdTreePath>(attach(), *kd_index_, poly);
+      },
+      skip);
+  EXPECT_TRUE(scanned.degraded);
+  EXPECT_GT(scanned.pages_skipped, 0u);
+  EXPECT_GT(planned.row_count, 0u);
+  EXPECT_GT(planned.pages_read, 0u);
 }
 
 }  // namespace

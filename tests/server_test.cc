@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +18,9 @@
 #include "core/knn.h"
 #include "server/client.h"
 #include "server/dataset.h"
+#include "server/protocol.h"
 #include "server/server.h"
+#include "server/wire.h"
 
 namespace mds {
 namespace {
@@ -628,6 +631,107 @@ TEST_F(ServerTest, PipelinedBatchMatchesSequentialExactly) {
                            limited[i]->objids.end(),
                            expected[i].objids.begin()))
         << i;
+  }
+
+  server.Shutdown();
+}
+
+TEST_F(ServerTest, PointCountReportsBoxQueryCounters) {
+  // A point count executes count-only (no objids are materialized), yet
+  // its reply must carry exactly what a box query over the same box
+  // reports: the count, the chosen path and every I/O counter — alone,
+  // pipelined, and in a gang that mixes both request types. Cache off, so
+  // every request executes.
+  ServerConfig config;
+  config.num_workers = 2;
+  QueryServer server(dataset_, config);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<Box> boxes;
+  for (int i = 0; i < 10; ++i) {
+    boxes.push_back(LocusBox(0.1 + 0.2 * i));  // kd-tree through full scan
+  }
+  QueryClient client = MustConnect(server);
+  std::vector<QueryClient::QueryResult> queried;
+  std::set<std::string> paths;
+  for (const Box& box : boxes) {
+    auto query = client.BoxQuery(box);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    auto count = client.PointCountDetailed(box);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(query->row_count, query->objids.size());
+    EXPECT_EQ(count->row_count, query->objids.size());
+    EXPECT_TRUE(count->objids.empty());
+    EXPECT_EQ(count->chosen_path, query->chosen_path);
+    EXPECT_EQ(count->rows_scanned, query->rows_scanned);
+    EXPECT_EQ(count->pages_fetched, query->pages_fetched);
+    EXPECT_EQ(count->pages_read, query->pages_read);
+    EXPECT_EQ(count->pages_skipped, query->pages_skipped);
+    EXPECT_EQ(count->degraded, query->degraded);
+    paths.insert(query->chosen_path);
+    queried.push_back(std::move(*query));
+  }
+  EXPECT_EQ(paths.size(), 2u) << "the boxes should cross the crossover";
+
+  auto counts = client.PointCountPipeline(boxes);
+  ASSERT_EQ(counts.size(), boxes.size());
+  for (size_t i = 0; i < counts.size(); ++i) {
+    ASSERT_TRUE(counts[i].ok()) << i << ": " << counts[i].status().ToString();
+    EXPECT_EQ(*counts[i], queried[i].objids.size()) << i;
+  }
+
+  // One write carrying a point count and a box query per box, so the
+  // server gangs both types into one ExecuteBatch call.
+  using protocol::MessageType;
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    for (const MessageType type :
+         {MessageType::kPointCount, MessageType::kBoxQuery}) {
+      protocol::BoxQueryRequest req;
+      req.lo = boxes[i].lo();
+      req.hi = boxes[i].hi();
+      std::vector<uint8_t> payload;
+      WireWriter w(&payload);
+      protocol::MessageHeader header;
+      header.type = type;
+      header.request_id = 2 * i + (type == MessageType::kBoxQuery ? 1 : 0);
+      EncodeMessageHeader(header, &w);
+      w.PutU32(0);  // deadline_ms
+      EncodeBoxQueryRequest(req, &w);
+      protocol::AppendFrame(payload, &burst);
+    }
+  }
+  auto sock = TcpConnect("127.0.0.1", server.port(), 5000);
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  ASSERT_TRUE(
+      sock->WriteFull(burst.data(), burst.size(), IoDeadline::After(5000))
+          .ok());
+  std::vector<protocol::QueryReply> replies(2 * boxes.size());
+  for (size_t k = 0; k < replies.size(); ++k) {
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(
+        protocol::ReadFrame(&*sock, IoDeadline::After(10000), &payload).ok());
+    WireReader r(payload.data(), payload.size());
+    protocol::MessageHeader header;
+    ASSERT_TRUE(DecodeMessageHeader(&r, &header).ok());
+    Status remote;
+    ASSERT_TRUE(protocol::DecodeStatus(&r, &remote).ok());
+    ASSERT_TRUE(remote.ok()) << remote.ToString();
+    ASSERT_LT(header.request_id, replies.size());
+    ASSERT_TRUE(DecodeQueryReply(&r, &replies[header.request_id]).ok());
+  }
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    const protocol::QueryReply& count = replies[2 * i];
+    const protocol::QueryReply& query = replies[2 * i + 1];
+    EXPECT_EQ(query.objids, queried[i].objids) << i;
+    EXPECT_EQ(count.row_count, queried[i].objids.size()) << i;
+    EXPECT_TRUE(count.objids.empty()) << i;
+    EXPECT_EQ(count.chosen_path, queried[i].chosen_path) << i;
+    EXPECT_EQ(count.rows_scanned, queried[i].rows_scanned) << i;
+    EXPECT_EQ(count.pages_fetched, queried[i].pages_fetched) << i;
+    EXPECT_EQ(count.pages_read, queried[i].pages_read) << i;
+    EXPECT_EQ(count.pages_skipped, queried[i].pages_skipped) << i;
+    EXPECT_EQ(count.degraded, queried[i].degraded) << i;
   }
 
   server.Shutdown();

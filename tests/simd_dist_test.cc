@@ -5,7 +5,9 @@
 // NaN/infinity probes and coordinates, and exact-tie distances, and
 // compare raw double bit patterns (not values, which would let -0.0 or
 // differently-payloaded NaNs slip through) on every tier the host can
-// reach. CI re-runs them with MDS_NO_SIMD=1 and MDS_SIMD_TIER=sse2.
+// reach. The membership kernels (box, halfspaces) are compared mask byte
+// by mask byte against Box::Contains and Polyhedron::Contains. CI re-runs
+// them with MDS_NO_SIMD=1 and MDS_SIMD_TIER=sse2.
 
 #include "core/simd_dist.h"
 
@@ -20,6 +22,8 @@
 #include "core/knn.h"
 #include "geom/box.h"
 #include "geom/point_set.h"
+#include "geom/polyhedron.h"
+#include "geom/predicate.h"
 
 namespace mds {
 namespace {
@@ -271,6 +275,119 @@ TEST(SimdDist, BoxContainsBatchMatchesBoxContains) {
       }
     }
   }
+}
+
+/// A normal component: ordinary values mixed with +0, -0 and denormals.
+/// Zero components are the terms the kernel skips for finite rows, so
+/// they must be exactly as harmless as the dense sum says.
+double RandomNormalComponent(uint64_t* state) {
+  const uint64_t r = SplitMix(state);
+  switch (r % 9) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return std::numeric_limits<double>::denorm_min();
+    case 3:
+      return -std::numeric_limits<double>::denorm_min();
+    default:
+      return (static_cast<double>(r % 2001) - 1000.0) / 1000.0;
+  }
+}
+
+/// The polyhedra the scanner filters by: a box (FromBox: unit normals,
+/// every other component +0), a ball approximation (dense normals) and a
+/// random polyhedron whose normals carry +0, -0 and denormal components.
+std::vector<Polyhedron> TestPolyhedra(size_t dim, uint64_t* state) {
+  std::vector<double> lo(dim), hi(dim), center(dim);
+  for (size_t j = 0; j < dim; ++j) {
+    const double a = static_cast<double>(SplitMix(state) % 200) - 100.0;
+    const double b = static_cast<double>(SplitMix(state) % 200) - 100.0;
+    lo[j] = std::min(a, b);
+    hi[j] = std::max(a, b);
+    center[j] = static_cast<double>(SplitMix(state) % 100) - 50.0;
+  }
+  std::vector<Polyhedron> out;
+  out.push_back(Polyhedron::FromBox(Box(lo, hi)));
+  out.push_back(Polyhedron::BallApproximation(center, 120.0, 3 * dim + 4));
+  Polyhedron random(dim);
+  for (size_t f = 0; f < 2 * dim + 3; ++f) {
+    std::vector<double> normal(dim);
+    for (double& v : normal) v = RandomNormalComponent(state);
+    random.AddHalfspace(std::move(normal),
+                        static_cast<double>(SplitMix(state) % 100));
+  }
+  out.push_back(std::move(random));
+  return out;
+}
+
+/// Rows for the halfspace kernel: RandomCoord's specials (NaN, +-inf,
+/// +-0, denormals, FLT_MAX) among ordinary values, plus extra denormals
+/// and integers, which land exactly on the integer faces of the FromBox
+/// polyhedra (s == offset must count as inside).
+std::vector<float> HalfspaceRows(size_t count, uint64_t* state) {
+  std::vector<float> rows(count);
+  for (float& v : rows) {
+    const uint64_t r = SplitMix(state);
+    if (r % 41 == 0) {
+      v = -std::numeric_limits<float>::denorm_min();
+    } else if (r % 41 < 8) {
+      v = static_cast<float>(r % 201) - 100.0f;
+    } else {
+      v = RandomCoord(state);
+    }
+  }
+  return rows;
+}
+
+TEST(SimdDist, HalfspacesContainBatchMatchesPolyhedronContains) {
+  uint64_t state = 7;
+  uint64_t inside = 0;
+  uint64_t outside = 0;
+  // Dims past 16 take the scalar tier inside the vector kernels.
+  for (size_t dim = 1; dim <= 18; ++dim) {
+    for (const Polyhedron& poly : TestPolyhedra(dim, &state)) {
+      HalfspaceSet set(dim);
+      for (const Halfspace& h : poly.halfspaces()) {
+        set.Add(h.normal.data(), h.offset);
+      }
+      const PolyhedronPredicate predicate(&poly);
+      for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{8},
+                       size_t{63}, size_t{200}}) {
+        // Row blocks start at float offsets 0..3: none but 0 is 16- or
+        // 32-byte aligned.
+        const std::vector<float> backing = HalfspaceRows(4 + n * dim, &state);
+        for (size_t offset = 0; offset < 4; ++offset) {
+          const float* rows = backing.data() + offset;
+          std::vector<uint8_t> expected(n);
+          for (size_t i = 0; i < n; ++i) {
+            expected[i] = poly.Contains(rows + i * dim) ? 1 : 0;
+            (expected[i] ? inside : outside) += 1;
+          }
+          for (SimdTier tier : ReachableTiers()) {
+            TierGuard guard(tier);
+            std::vector<uint8_t> mask(n, 0xCC);
+            HalfspacesContainBatch(set, rows, n, mask.data());
+            std::vector<uint8_t> batch(n, 0xCC);
+            predicate.MatchBatch(rows, n, batch.data());
+            for (size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(mask[i], expected[i])
+                  << "tier=" << SimdTierName(tier) << " dim=" << dim
+                  << " halfspaces=" << poly.num_halfspaces() << " n=" << n
+                  << " offset=" << offset << " i=" << i;
+              ASSERT_EQ(batch[i], predicate.Matches(rows + i * dim) ? 1 : 0)
+                  << "tier=" << SimdTierName(tier) << " dim=" << dim
+                  << " n=" << n << " offset=" << offset << " i=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep exercises both outcomes, not a degenerate all-in/all-out.
+  EXPECT_GT(inside, 1000u);
+  EXPECT_GT(outside, 1000u);
 }
 
 TEST(SimdDist, KnnNeighborOrderIdenticalAcrossTiersWithTies) {
