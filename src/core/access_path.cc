@@ -360,8 +360,7 @@ Result<StorageQueryResult> DriveAccessPath(AccessPath* path, Scanner* scanner,
 
 RangeScanner::Layout LayoutOf(const AccessPath& path) {
   return RangeScanner::Layout{path.binding().objid_col,
-                              path.binding().first_coord_col,
-                              path.binding().dim};
+                              path.binding().first_coord_col};
 }
 
 }  // namespace

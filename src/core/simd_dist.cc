@@ -1,9 +1,11 @@
 #include "core/simd_dist.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "geom/point_set.h"
@@ -35,13 +37,21 @@ void DistGatherScalar(const double* p, const float* points, const Id* ids,
   }
 }
 
-void BoxScalar(const double* lo, const double* hi, const float* rows,
-               size_t n, size_t dim, uint8_t* mask) {
+/// Coordinate j of a strided row, promoted to double. Rows may sit at any
+/// alignment (a page row after its objid), so the float is copied out.
+inline double Coord(const unsigned char* row, size_t j) {
+  float v;
+  std::memcpy(&v, row + j * sizeof(float), sizeof(v));
+  return v;
+}
+
+void BoxScalar(const double* lo, const double* hi, const unsigned char* rows,
+               size_t stride, size_t n, size_t dim, uint8_t* mask) {
   for (size_t i = 0; i < n; ++i) {
-    const float* r = rows + i * dim;
+    const unsigned char* r = rows + i * stride;
     uint8_t in = 1;
     for (size_t j = 0; j < dim; ++j) {
-      const double v = r[j];
+      const double v = Coord(r, j);
       if (v < lo[j] || v > hi[j]) {
         in = 0;
         break;
@@ -53,60 +63,83 @@ void BoxScalar(const double* lo, const double* hi, const float* rows,
 
 /// Halfspace::Contains over every halfspace, term for term: the reference,
 /// and the path of every row with a non-finite coordinate.
-bool HalfspacesDense(const HalfspaceSet& set, const float* r) {
+bool HalfspacesDense(const HalfspaceSet& set, const unsigned char* r) {
   for (size_t h = 0; h < set.size(); ++h) {
     const double* normal = set.normals.data() + h * set.dim;
     double s = 0.0;
-    for (size_t j = 0; j < set.dim; ++j) s += normal[j] * r[j];
+    for (size_t j = 0; j < set.dim; ++j) s += normal[j] * Coord(r, j);
     if (!(s <= set.offsets[h])) return false;
   }
   return true;
 }
 
 /// The same sums over the nonzero terms only; exact for finite rows.
-bool HalfspacesSparse(const HalfspaceSet& set, const float* r) {
+bool HalfspacesSparse(const HalfspaceSet& set, const unsigned char* r) {
   uint32_t t = 0;
   for (size_t h = 0; h < set.size(); ++h) {
     double s = 0.0;
     for (; t < set.term_end[h]; ++t) {
-      s += set.term_coef[t] * r[set.term_axis[t]];
+      s += set.term_coef[t] * Coord(r, set.term_axis[t]);
     }
     if (!(s <= set.offsets[h])) return false;
   }
   return true;
 }
 
-bool RowFinite(const float* r, size_t dim) {
-  for (size_t j = 0; j < dim; ++j) {
-    if (!std::isfinite(r[j])) return false;
+/// The interval form's test; exact for finite rows of an interval set.
+bool InsideIntervals(const HalfspaceSet& set, const unsigned char* r) {
+  for (size_t j = 0; j < set.dim; ++j) {
+    const double v = Coord(r, j);
+    if (!(set.lo[j] <= v && v <= set.hi[j])) return false;
   }
   return true;
 }
 
-void HalfspacesScalar(const HalfspaceSet& set, const float* rows, size_t n,
-                      uint8_t* mask) {
+bool RowFinite(const unsigned char* r, size_t dim) {
+  for (size_t j = 0; j < dim; ++j) {
+    if (!std::isfinite(Coord(r, j))) return false;
+  }
+  return true;
+}
+
+void HalfspacesScalar(const HalfspaceSet& set, const unsigned char* rows,
+                      size_t stride, size_t n, uint8_t* mask) {
   for (size_t i = 0; i < n; ++i) {
-    const float* r = rows + i * set.dim;
-    mask[i] = (RowFinite(r, set.dim) ? HalfspacesSparse(set, r)
-                                     : HalfspacesDense(set, r))
-                  ? 1
-                  : 0;
+    const unsigned char* r = rows + i * stride;
+    bool in;
+    if (!RowFinite(r, set.dim)) {
+      in = HalfspacesDense(set, r);
+    } else if (set.is_interval) {
+      in = InsideIntervals(set, r);
+    } else {
+      in = HalfspacesSparse(set, r);
+    }
+    mask[i] = in ? 1 : 0;
   }
 }
 
 #if defined(MDS_SIMD_HAVE_X86)
 
-/// The vector halfspace tiers stage a block's promoted coordinates on the
-/// stack, one column per axis; wider rows take the scalar tier.
+/// The vector membership tiers hold a row's bounds in registers, or stage
+/// a block's promoted coordinates on the stack, one column per axis;
+/// wider rows take the scalar tier.
 constexpr size_t kMaxStagedDim = 16;
+
+/// The per-axis test of a row-wise interval kernel.
+enum class IntervalTest {
+  kBox,           ///< Box::Contains: !(v < lo) && !(v > hi), NaN inside
+  kOrderedDense,  ///< lo <= v && v <= hi for finite rows; the others take
+                  ///< the dense reference of `set`
+};
 
 // --- SSE2 tier (baseline on x86-64): 2 double lanes --------------------------
 //
-// Lane-per-row layout: lane l accumulates the full scalar op sequence for
-// row i+l. Per dimension the two rows' floats are promoted and combined
-// with sub/mul/add in double — the identical IEEE operations, in the
-// identical order, as the scalar loop, so every lane is bit-exact. No
-// horizontal reduction ever happens.
+// Lane-per-row layout for the sums: lane l accumulates the full scalar op
+// sequence for row i+l. Per dimension the two rows' floats are promoted
+// and combined with sub/mul/add in double — the identical IEEE
+// operations, in the identical order, as the scalar loop, so every lane
+// is bit-exact. No horizontal reduction ever happens. The interval tests
+// only compare, so their lanes hold one row's axes (IntervalRowsSse2).
 
 inline __m128d Promote2(const float* r0, const float* r1, size_t j) {
   return _mm_setr_pd(static_cast<double>(r0[j]), static_cast<double>(r1[j]));
@@ -146,38 +179,92 @@ void DistGatherSse2(const double* p, const float* points, const Id* ids,
   }
 }
 
-void BoxSse2(const double* lo, const double* hi, const float* rows, size_t n,
-             size_t dim, uint8_t* mask) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float* r0 = rows + i * dim;
-    const float* r1 = rows + (i + 1) * dim;
-    // Box::Contains semantics via unordered-quiet compares: inside on an
-    // axis is !(v < lo) && !(v > hi); cmpnlt/cmpnle return true for NaN,
-    // so NaN coordinates count as contained, exactly like the scalar.
-    __m128d in = _mm_castsi128_pd(_mm_set1_epi64x(-1));
-    for (size_t j = 0; j < dim; ++j) {
-      const __m128d v = Promote2(r0, r1, j);
-      const __m128d ge_lo = _mm_cmpnlt_pd(v, _mm_set1_pd(lo[j]));
-      const __m128d le_hi = _mm_cmpngt_pd(v, _mm_set1_pd(hi[j]));
-      in = _mm_and_pd(in, _mm_and_pd(ge_lo, le_hi));
-    }
-    const int bits = _mm_movemask_pd(in);
-    mask[i] = static_cast<uint8_t>(bits & 1);
-    mask[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);
-  }
-  if (i < n) BoxScalar(lo, hi, rows + i * dim, n - i, dim, mask + i);
+inline __m128d Promote2(const unsigned char* r0, const unsigned char* r1,
+                        size_t j) {
+  return _mm_setr_pd(Coord(r0, j), Coord(r1, j));
 }
 
-void HalfspacesSse2(const HalfspaceSet& set, const float* rows, size_t n,
-                    uint8_t* mask) {
-  const size_t dim = set.dim;
+/// Axes at..at+1 of a row, promoted. The 8 bytes are copied out: rows
+/// may sit at any alignment.
+inline __m128d LoadAxes2(const unsigned char* r, size_t at) {
+  int64_t bits;
+  std::memcpy(&bits, r + at * sizeof(float), sizeof(bits));
+  return _mm_cvtps_pd(_mm_castsi128_ps(_mm_cvtsi64_si128(bits)));
+}
+
+/// Row-wise interval test, one row per step: the row is promoted two axes
+/// at a time and compared with those axes' bounds, held in registers. An
+/// odd tail re-tests the last two axes; a 1-axis row leaves its second
+/// lane at 0 against (-inf, inf). Rows need dim <= kMaxStagedDim.
+template <IntervalTest kTest>
+void IntervalRowsSse2(const double* lo, const double* hi, size_t dim,
+                      const HalfspaceSet* set, const unsigned char* rows,
+                      size_t stride, size_t n, uint8_t* mask) {
+  const size_t chunks = (dim + 1) / 2;
+  const double inf = std::numeric_limits<double>::infinity();
+  size_t at[kMaxStagedDim / 2];
+  __m128d lo2[kMaxStagedDim / 2];
+  __m128d hi2[kMaxStagedDim / 2];
+  for (size_t c = 0; c < chunks; ++c) {
+    at[c] = dim < 2 ? 0 : std::min(2 * c, dim - 2);
+    lo2[c] = _mm_setr_pd(lo[at[c]], dim < 2 ? -inf : lo[at[c] + 1]);
+    hi2[c] = _mm_setr_pd(hi[at[c]], dim < 2 ? inf : hi[at[c] + 1]);
+  }
+  const __m128d zero = _mm_setzero_pd();
+  for (size_t i = 0; i < n; ++i) {
+    const unsigned char* r = rows + i * stride;
+    __m128d in = _mm_castsi128_pd(_mm_set1_epi64x(-1));
+    __m128d finite = in;
+    for (size_t c = 0; c < chunks; ++c) {
+      const __m128d v =
+          dim < 2 ? _mm_setr_pd(Coord(r, 0), 0.0) : LoadAxes2(r, at[c]);
+      if (kTest == IntervalTest::kBox) {
+        // Unordered-quiet: true for NaN, as the scalar !(v<lo) && !(v>hi).
+        in = _mm_and_pd(in, _mm_and_pd(_mm_cmpnlt_pd(v, lo2[c]),
+                                       _mm_cmpngt_pd(v, hi2[c])));
+      } else {
+        // Ordered: false for NaN, as the scalar lo <= v && v <= hi.
+        in = _mm_and_pd(in, _mm_and_pd(_mm_cmple_pd(lo2[c], v),
+                                       _mm_cmple_pd(v, hi2[c])));
+      }
+      if (kTest == IntervalTest::kOrderedDense) {
+        // v - v is 0 for finite v and NaN for +-inf or NaN.
+        finite = _mm_and_pd(finite, _mm_cmpeq_pd(_mm_sub_pd(v, v), zero));
+      }
+    }
+    if (kTest == IntervalTest::kOrderedDense &&
+        _mm_movemask_pd(finite) != 0x3) {
+      mask[i] = HalfspacesDense(*set, r) ? 1 : 0;
+    } else {
+      mask[i] = _mm_movemask_pd(in) == 0x3 ? 1 : 0;
+    }
+  }
+}
+
+void BoxSse2(const double* lo, const double* hi, const unsigned char* rows,
+             size_t stride, size_t n, size_t dim, uint8_t* mask) {
   if (dim > kMaxStagedDim) {
-    HalfspacesScalar(set, rows, n, mask);
+    BoxScalar(lo, hi, rows, stride, n, dim, mask);
+    return;
+  }
+  IntervalRowsSse2<IntervalTest::kBox>(lo, hi, dim, nullptr, rows, stride, n,
+                                       mask);
+}
+
+void HalfspacesSse2(const HalfspaceSet& set, const unsigned char* rows,
+                    size_t stride, size_t n, uint8_t* mask) {
+  if (set.dim > kMaxStagedDim) {
+    HalfspacesScalar(set, rows, stride, n, mask);
+    return;
+  }
+  if (set.is_interval) {
+    IntervalRowsSse2<IntervalTest::kOrderedDense>(
+        set.lo.data(), set.hi.data(), set.dim, &set, rows, stride, n, mask);
     return;
   }
   // Lane l of cols[2j..2j+1] is axis j of row i+l, promoted once per
   // block and shared by every halfspace's terms.
+  const size_t dim = set.dim;
   alignas(16) double cols[2 * kMaxStagedDim];
   const size_t count = set.size();
   const uint32_t* term_end = set.term_end.data();
@@ -187,8 +274,8 @@ void HalfspacesSse2(const HalfspaceSet& set, const float* rows, size_t n,
   const __m128d zero = _mm_setzero_pd();
   size_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    const float* r0 = rows + i * dim;
-    const float* r1 = r0 + dim;
+    const unsigned char* r0 = rows + i * stride;
+    const unsigned char* r1 = r0 + stride;
     __m128d finite = _mm_castsi128_pd(_mm_set1_epi64x(-1));
     for (size_t j = 0; j < dim; ++j) {
       const __m128d v = Promote2(r0, r1, j);
@@ -213,10 +300,12 @@ void HalfspacesSse2(const HalfspaceSet& set, const float* rows, size_t n,
     for (int l = 0; l < 2; ++l) {
       mask[i + l] = (finite_bits >> l) & 1
                         ? static_cast<uint8_t>((bits >> l) & 1)
-                        : (HalfspacesDense(set, rows + (i + l) * dim) ? 1 : 0);
+                        : (HalfspacesDense(set, r0 + l * stride) ? 1 : 0);
     }
   }
-  if (i < n) HalfspacesScalar(set, rows + i * dim, n - i, mask + i);
+  if (i < n) {
+    HalfspacesScalar(set, rows + i * stride, stride, n - i, mask + i);
+  }
 }
 
 // --- AVX2 tier: 4 double lanes, reached only after a cpuid check -------------
@@ -314,44 +403,129 @@ __attribute__((target("avx2"))) void DistGatherAvx2(const double* p,
   }
 }
 
+__attribute__((target("avx2"))) inline __m256d Promote4(
+    const unsigned char* r0, const unsigned char* r1, const unsigned char* r2,
+    const unsigned char* r3, size_t j) {
+  return _mm256_setr_pd(Coord(r0, j), Coord(r1, j), Coord(r2, j),
+                        Coord(r3, j));
+}
+
+/// Row-wise interval test, one row per step: the row is promoted four
+/// axes at a time and compared with those axes' bounds, held in
+/// registers (kChunks groups of four, unrolled). A ragged tail re-tests
+/// the last four axes; rows of fewer than four axes load only theirs, and
+/// the other lanes read 0 against (-inf, inf).
+template <size_t kChunks, IntervalTest kTest>
+__attribute__((target("avx2"))) void IntervalChunksAvx2(
+    const double* lo, const double* hi, size_t dim, const HalfspaceSet* set,
+    const unsigned char* rows, size_t stride, size_t n, uint8_t* mask) {
+  size_t at[kChunks];
+  __m256d lo4[kChunks];
+  __m256d hi4[kChunks];
+  alignas(32) double lanes_lo[4];
+  alignas(32) double lanes_hi[4];
+  for (size_t c = 0; c < kChunks; ++c) {
+    at[c] = dim < 4 ? 0 : std::min(4 * c, dim - 4);
+    for (size_t l = 0; l < 4; ++l) {
+      const bool real = at[c] + l < dim;
+      lanes_lo[l] =
+          real ? lo[at[c] + l] : -std::numeric_limits<double>::infinity();
+      lanes_hi[l] =
+          real ? hi[at[c] + l] : std::numeric_limits<double>::infinity();
+    }
+    lo4[c] = _mm256_load_pd(lanes_lo);
+    hi4[c] = _mm256_load_pd(lanes_hi);
+  }
+  // Rows of fewer than four axes: a masked load never touches the bytes
+  // past the row.
+  const bool short_row = dim < 4;
+  const __m128i lanes =
+      _mm_setr_epi32(-1, dim > 1 ? -1 : 0, dim > 2 ? -1 : 0, 0);
+  const __m256d zero = _mm256_setzero_pd();
+  for (size_t i = 0; i < n; ++i) {
+    const unsigned char* r = rows + i * stride;
+    __m256d in = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    __m256d finite = in;
+    for (size_t c = 0; c < kChunks; ++c) {
+      const float* axes = reinterpret_cast<const float*>(r) + at[c];
+      const __m256d v = _mm256_cvtps_pd(
+          short_row ? _mm_maskload_ps(axes, lanes) : _mm_loadu_ps(axes));
+      if (kTest == IntervalTest::kBox) {
+        // NLT_UQ / NGT_UQ: true on NaN, as the scalar !(v<lo) && !(v>hi).
+        in = _mm256_and_pd(
+            in, _mm256_and_pd(_mm256_cmp_pd(v, lo4[c], _CMP_NLT_UQ),
+                              _mm256_cmp_pd(v, hi4[c], _CMP_NGT_UQ)));
+      } else {
+        // LE_OQ both ways, as the scalar lo <= v && v <= hi.
+        in = _mm256_and_pd(
+            in, _mm256_and_pd(_mm256_cmp_pd(lo4[c], v, _CMP_LE_OQ),
+                              _mm256_cmp_pd(v, hi4[c], _CMP_LE_OQ)));
+      }
+      if (kTest == IntervalTest::kOrderedDense) {
+        // v - v is 0 for finite v and NaN for +-inf or NaN.
+        finite = _mm256_and_pd(
+            finite, _mm256_cmp_pd(_mm256_sub_pd(v, v), zero, _CMP_EQ_OQ));
+      }
+    }
+    if (kTest == IntervalTest::kOrderedDense &&
+        _mm256_movemask_pd(finite) != 0xF) {
+      mask[i] = HalfspacesDense(*set, r) ? 1 : 0;
+    } else {
+      mask[i] = _mm256_movemask_pd(in) == 0xF ? 1 : 0;
+    }
+  }
+}
+
+/// IntervalChunksAvx2 for rows of up to kMaxStagedDim axes.
+template <IntervalTest kTest>
+__attribute__((target("avx2"))) void IntervalRowsAvx2(
+    const double* lo, const double* hi, size_t dim, const HalfspaceSet* set,
+    const unsigned char* rows, size_t stride, size_t n, uint8_t* mask) {
+  switch ((dim + 3) / 4) {
+    case 0:  // no axes: every row is inside
+      std::fill(mask, mask + n, uint8_t{1});
+      return;
+    case 1:
+      IntervalChunksAvx2<1, kTest>(lo, hi, dim, set, rows, stride, n, mask);
+      return;
+    case 2:
+      IntervalChunksAvx2<2, kTest>(lo, hi, dim, set, rows, stride, n, mask);
+      return;
+    case 3:
+      IntervalChunksAvx2<3, kTest>(lo, hi, dim, set, rows, stride, n, mask);
+      return;
+    default:
+      IntervalChunksAvx2<4, kTest>(lo, hi, dim, set, rows, stride, n, mask);
+  }
+}
+
 __attribute__((target("avx2"))) void BoxAvx2(const double* lo,
                                              const double* hi,
-                                             const float* rows, size_t n,
+                                             const unsigned char* rows,
+                                             size_t stride, size_t n,
                                              size_t dim, uint8_t* mask) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float* r0 = rows + i * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
-    __m256d in = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    for (size_t j = 0; j < dim; ++j) {
-      const __m256d v = Promote4(r0, r1, r2, r3, j);
-      // NLT_UQ / NGT_UQ: true on NaN, matching scalar `!(v<lo) && !(v>hi)`.
-      const __m256d ge_lo =
-          _mm256_cmp_pd(v, _mm256_set1_pd(lo[j]), _CMP_NLT_UQ);
-      const __m256d le_hi =
-          _mm256_cmp_pd(v, _mm256_set1_pd(hi[j]), _CMP_NGT_UQ);
-      in = _mm256_and_pd(in, _mm256_and_pd(ge_lo, le_hi));
-    }
-    const int bits = _mm256_movemask_pd(in);
-    mask[i] = static_cast<uint8_t>(bits & 1);
-    mask[i + 1] = static_cast<uint8_t>((bits >> 1) & 1);
-    mask[i + 2] = static_cast<uint8_t>((bits >> 2) & 1);
-    mask[i + 3] = static_cast<uint8_t>((bits >> 3) & 1);
+  if (dim > kMaxStagedDim) {
+    BoxScalar(lo, hi, rows, stride, n, dim, mask);
+    return;
   }
-  if (i < n) BoxScalar(lo, hi, rows + i * dim, n - i, dim, mask + i);
+  IntervalRowsAvx2<IntervalTest::kBox>(lo, hi, dim, nullptr, rows, stride, n,
+                                       mask);
 }
 
 __attribute__((target("avx2"))) void HalfspacesAvx2(const HalfspaceSet& set,
-                                                    const float* rows,
-                                                    size_t n,
+                                                    const unsigned char* rows,
+                                                    size_t stride, size_t n,
                                                     uint8_t* mask) {
-  const size_t dim = set.dim;
-  if (dim > kMaxStagedDim) {
-    HalfspacesScalar(set, rows, n, mask);
+  if (set.dim > kMaxStagedDim) {
+    HalfspacesScalar(set, rows, stride, n, mask);
     return;
   }
+  if (set.is_interval) {
+    IntervalRowsAvx2<IntervalTest::kOrderedDense>(
+        set.lo.data(), set.hi.data(), set.dim, &set, rows, stride, n, mask);
+    return;
+  }
+  const size_t dim = set.dim;
   alignas(32) double cols[4 * kMaxStagedDim];
   const size_t count = set.size();
   const uint32_t* term_end = set.term_end.data();
@@ -361,19 +535,20 @@ __attribute__((target("avx2"))) void HalfspacesAvx2(const HalfspaceSet& set,
   const __m256d zero = _mm256_setzero_pd();
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const float* r0 = rows + i * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
+    const unsigned char* r0 = rows + i * stride;
+    const unsigned char* r1 = r0 + stride;
+    const unsigned char* r2 = r1 + stride;
+    const unsigned char* r3 = r2 + stride;
     // Stage the block column by column (4x4 float transposes, as in
     // Dist4Rows), flagging lanes whose row holds a non-finite value.
     __m256d finite = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
     size_t j = 0;
     for (; j + 4 <= dim; j += 4) {
-      __m128 a0 = _mm_loadu_ps(r0 + j);
-      __m128 a1 = _mm_loadu_ps(r1 + j);
-      __m128 a2 = _mm_loadu_ps(r2 + j);
-      __m128 a3 = _mm_loadu_ps(r3 + j);
+      const size_t at = j * sizeof(float);
+      __m128 a0 = _mm_loadu_ps(reinterpret_cast<const float*>(r0 + at));
+      __m128 a1 = _mm_loadu_ps(reinterpret_cast<const float*>(r1 + at));
+      __m128 a2 = _mm_loadu_ps(reinterpret_cast<const float*>(r2 + at));
+      __m128 a3 = _mm_loadu_ps(reinterpret_cast<const float*>(r3 + at));
       _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
       const __m128 c4[4] = {a0, a1, a2, a3};
       for (size_t c = 0; c < 4; ++c) {
@@ -408,10 +583,12 @@ __attribute__((target("avx2"))) void HalfspacesAvx2(const HalfspaceSet& set,
     for (int l = 0; l < 4; ++l) {
       mask[i + l] = (finite_bits >> l) & 1
                         ? static_cast<uint8_t>((bits >> l) & 1)
-                        : (HalfspacesDense(set, rows + (i + l) * dim) ? 1 : 0);
+                        : (HalfspacesDense(set, r0 + l * stride) ? 1 : 0);
     }
   }
-  if (i < n) HalfspacesScalar(set, rows + i * dim, n - i, mask + i);
+  if (i < n) {
+    HalfspacesScalar(set, rows + i * stride, stride, n - i, mask + i);
+  }
 }
 
 bool CpuHasAvx2() { return __builtin_cpu_supports("avx2") != 0; }
@@ -523,46 +700,68 @@ void SquaredDistanceGather(const double* p, const float* points,
   }
 }
 
-void BoxContainsBatch(const double* lo, const double* hi, const float* rows,
-                      size_t n, size_t dim, uint8_t* mask) {
+void BoxContainsBatch(const double* lo, const double* hi, const void* rows,
+                      size_t stride, size_t n, size_t dim, uint8_t* mask) {
+  const auto* bytes = static_cast<const unsigned char*>(rows);
   switch (ActiveSimdTier()) {
 #if defined(MDS_SIMD_HAVE_X86)
     case SimdTier::kAvx2:
-      BoxAvx2(lo, hi, rows, n, dim, mask);
+      BoxAvx2(lo, hi, bytes, stride, n, dim, mask);
       return;
     case SimdTier::kSse2:
-      BoxSse2(lo, hi, rows, n, dim, mask);
+      BoxSse2(lo, hi, bytes, stride, n, dim, mask);
       return;
 #endif
     default:
-      BoxScalar(lo, hi, rows, n, dim, mask);
+      BoxScalar(lo, hi, bytes, stride, n, dim, mask);
   }
 }
+
+HalfspaceSet::HalfspaceSet(size_t dimension)
+    : dim(dimension),
+      lo(dimension, -std::numeric_limits<double>::infinity()),
+      hi(dimension, std::numeric_limits<double>::infinity()) {}
 
 void HalfspaceSet::Add(const double* normal, double offset) {
   normals.insert(normals.end(), normal, normal + dim);
   offsets.push_back(offset);
+  const size_t first = term_axis.size();
   for (size_t j = 0; j < dim; ++j) {
     if (normal[j] == 0.0) continue;  // +0 and -0 alike; NaN is kept
     term_axis.push_back(static_cast<uint32_t>(j));
     term_coef.push_back(normal[j]);
   }
   term_end.push_back(static_cast<uint32_t>(term_axis.size()));
+  // Interval form: one nonzero term with coefficient exactly +-1.0 and a
+  // non-NaN offset bounds one axis (see the struct comment).
+  const bool unit_term = term_axis.size() == first + 1 &&
+                         (term_coef.back() == 1.0 || term_coef.back() == -1.0);
+  if (!unit_term || std::isnan(offset)) {
+    is_interval = false;
+    return;
+  }
+  const uint32_t axis = term_axis.back();
+  if (term_coef.back() == 1.0) {
+    hi[axis] = std::min(hi[axis], offset);
+  } else {
+    lo[axis] = std::max(lo[axis], -offset);
+  }
 }
 
-void HalfspacesContainBatch(const HalfspaceSet& set, const float* rows,
-                            size_t n, uint8_t* mask) {
+void HalfspacesContainBatch(const HalfspaceSet& set, const void* rows,
+                            size_t stride, size_t n, uint8_t* mask) {
+  const auto* bytes = static_cast<const unsigned char*>(rows);
   switch (ActiveSimdTier()) {
 #if defined(MDS_SIMD_HAVE_X86)
     case SimdTier::kAvx2:
-      HalfspacesAvx2(set, rows, n, mask);
+      HalfspacesAvx2(set, bytes, stride, n, mask);
       return;
     case SimdTier::kSse2:
-      HalfspacesSse2(set, rows, n, mask);
+      HalfspacesSse2(set, bytes, stride, n, mask);
       return;
 #endif
     default:
-      HalfspacesScalar(set, rows, n, mask);
+      HalfspacesScalar(set, bytes, stride, n, mask);
   }
 }
 

@@ -18,13 +18,15 @@ namespace mds {
 /// the scalar reference (`SquaredDistance` in geom/point_set.h,
 /// `Box::Contains` in geom/box.cc, `Halfspace::Contains` in
 /// geom/polyhedron.h) on every input, including NaN and infinity. The
-/// vector kernels achieve this by vectorizing ACROSS rows — one vector
-/// lane per row — so each lane performs exactly the scalar op sequence
-/// (promote float to double, subtract or scale, multiply, add, in
-/// dimension order) in IEEE double with no FMA contraction and no
-/// reassociation. Callers may therefore switch tiers freely without
-/// changing any observable result: neighbor sets, tie ordering and wire
-/// bytes are invariant.
+/// kernels that sum vectorize ACROSS rows — one vector lane per row — so
+/// each lane performs exactly the scalar op sequence (promote float to
+/// double, subtract or scale, multiply, add, in dimension order) in IEEE
+/// double with no FMA contraction and no reassociation. The interval
+/// tests (boxes, and halfspace sets in interval form) only promote and
+/// compare, which is exact in any lane order, so they put one row's axes
+/// in the lanes instead and keep the bounds in registers. Callers may
+/// therefore switch tiers freely without changing any observable result:
+/// neighbor sets, tie ordering and wire bytes are invariant.
 ///
 /// Dispatch (modeled on common/crc32c.cc): the tier is detected once via
 /// cpuid, capped by environment —
@@ -65,20 +67,41 @@ void SquaredDistanceGather(const double* p, const float* points,
                            const uint32_t* ids, size_t n, size_t dim,
                            double* d2);
 
+/// Membership kernels read rows through a strided view: row i's
+/// coordinates are `dim` floats starting `i * stride` bytes past `rows`,
+/// at any alignment. A scanner passes a pinned page as it is (the first
+/// coordinate column, stride = the row size) and nothing is copied.
+
 /// mask[i] = 1 iff row i lies in [lo, hi] on every axis, with exactly
 /// Box::Contains semantics: the test is `!(v < lo) && !(v > hi)` per
 /// axis, so a NaN coordinate compares false on both sides and the row
 /// counts as contained.
-void BoxContainsBatch(const double* lo, const double* hi, const float* rows,
-                      size_t n, size_t dim, uint8_t* mask);
+void BoxContainsBatch(const double* lo, const double* hi, const void* rows,
+                      size_t stride, size_t n, size_t dim, uint8_t* mask);
+
+/// The same over `n` contiguous rows (stride = dim floats).
+inline void BoxContainsBatch(const double* lo, const double* hi,
+                             const float* rows, size_t n, size_t dim,
+                             uint8_t* mask) {
+  BoxContainsBatch(lo, hi, rows, dim * sizeof(float), n, dim, mask);
+}
 
 /// An intersection of halfspaces {x : normal . x <= offset}, flattened
 /// once for HalfspacesContainBatch. Each halfspace keeps its dense normal
 /// (the reference for rows with a non-finite coordinate) and the list of
 /// its nonzero terms (what finite rows are evaluated over). Build it with
 /// Add; the arrays are read-only afterwards.
+///
+/// Interval form: while every halfspace is `+-x_j <= offset` (exactly one
+/// nonzero term, coefficient exactly +-1.0, offset not NaN — what
+/// Polyhedron::FromBox builds), the set also keeps per-axis bounds
+/// [lo[j], hi[j]]: the max of the lower bounds (-offset of each -x_j
+/// term) and the min of the upper bounds, +-inf on unbounded axes. A
+/// finite row is then inside iff `lo[j] <= x_j && x_j <= hi[j]` on every
+/// axis, which is exact: the sparse sum is 0.0 + c*x_j, promoting and
+/// negating are exact, so -x <= offset <=> x >= -offset.
 struct HalfspaceSet {
-  explicit HalfspaceSet(size_t dimension) : dim(dimension) {}
+  explicit HalfspaceSet(size_t dimension);
 
   /// Appends {x : normal . x <= offset}; `normal` has `dim` entries.
   void Add(const double* normal, double offset);
@@ -92,19 +115,23 @@ struct HalfspaceSet {
                                     ///< [term_end[h-1], term_end[h])
   std::vector<uint32_t> term_axis;  ///< axis of each nonzero term
   std::vector<double> term_coef;    ///< its normal component
+  bool is_interval = true;          ///< every halfspace is +-x_j <= offset
+  std::vector<double> lo;           ///< per-axis bounds, valid iff
+  std::vector<double> hi;           ///< is_interval
 };
 
-/// mask[i] = 1 iff row i (set.dim floats at rows + i*set.dim) satisfies
-/// every halfspace of `set`, bit-identical to Halfspace::Contains: per
-/// halfspace the row is promoted to double and accumulated from 0.0 in
-/// axis order with a multiply then an add (no FMA), and compared with
-/// `s <= offset` (NaN fails). A finite row is evaluated over the nonzero
-/// terms only, which is exact: 0 * x is +-0 for finite x, a sum started
-/// at +0.0 never becomes -0.0, and adding +-0 to any other value leaves
-/// it unchanged. A row with any non-finite coordinate takes the dense
+/// mask[i] = 1 iff row i (set.dim floats at rows + i*stride bytes)
+/// satisfies every halfspace of `set`, bit-identical to
+/// Halfspace::Contains: per halfspace the row is promoted to double and
+/// accumulated from 0.0 in axis order with a multiply then an add (no
+/// FMA), and compared with `s <= offset` (NaN fails). A finite row is
+/// evaluated over the nonzero terms only, or against the interval form's
+/// bounds, which is exact: 0 * x is +-0 for finite x, a sum started at
+/// +0.0 never becomes -0.0, and adding +-0 to any other value leaves it
+/// unchanged. A row with any non-finite coordinate takes the dense
 /// reference, where 0 * inf = NaN must show.
-void HalfspacesContainBatch(const HalfspaceSet& set, const float* rows,
-                            size_t n, uint8_t* mask);
+void HalfspacesContainBatch(const HalfspaceSet& set, const void* rows,
+                            size_t stride, size_t n, uint8_t* mask);
 
 }  // namespace mds
 

@@ -9,14 +9,14 @@ PolyhedronPredicate::PolyhedronPredicate(const Polyhedron* poly)
   }
 }
 
-void PolyhedronPredicate::MatchBatch(const float* rows, size_t n,
-                                     uint8_t* mask) const {
-  HalfspacesContainBatch(halfspaces_, rows, n, mask);
+void PolyhedronPredicate::MatchBatch(const void* rows, size_t stride,
+                                     size_t n, uint8_t* mask) const {
+  HalfspacesContainBatch(halfspaces_, rows, stride, n, mask);
 }
 
-void BoxPredicate::MatchBatch(const float* rows, size_t n,
+void BoxPredicate::MatchBatch(const void* rows, size_t stride, size_t n,
                               uint8_t* mask) const {
-  BoxContainsBatch(box_->lo().data(), box_->hi().data(), rows, n,
+  BoxContainsBatch(box_->lo().data(), box_->hi().data(), rows, stride, n,
                    box_->dim(), mask);
 }
 

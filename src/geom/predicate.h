@@ -25,11 +25,12 @@ class SpatialPredicate {
   /// Per-row membership test (the `partial`-range fallback).
   virtual bool Matches(const float* p) const = 0;
 
-  /// Batch membership over `n` contiguous dim()-float rows:
-  /// mask[i] = Matches(rows + i*dim()), bit-for-bit, through a vector
-  /// kernel (core/simd_dist.h). Scanners call this once per decoded page
-  /// instead of n virtual calls.
-  virtual void MatchBatch(const float* rows, size_t n,
+  /// Batch membership over a strided view of `n` rows: row i's dim()
+  /// floats start `i * stride` bytes past `rows`, at any alignment.
+  /// mask[i] equals Matches on that row, bit-for-bit, through a vector
+  /// kernel (core/simd_dist.h). Scanners call this once per pinned page,
+  /// on the page's own bytes, instead of n virtual calls.
+  virtual void MatchBatch(const void* rows, size_t stride, size_t n,
                           uint8_t* mask) const = 0;
 
   /// Classifies a candidate bounding box against the region, with the same
@@ -47,8 +48,10 @@ class PolyhedronPredicate final : public SpatialPredicate {
   size_t dim() const override { return poly_->dim(); }
   bool Matches(const float* p) const override { return poly_->Contains(p); }
   /// SIMD halfspace test (core/simd_dist.h), bit-identical to
-  /// Polyhedron::Contains.
-  void MatchBatch(const float* rows, size_t n, uint8_t* mask) const override;
+  /// Polyhedron::Contains; an axis-aligned polyhedron (FromBox) runs the
+  /// interval form.
+  void MatchBatch(const void* rows, size_t stride, size_t n,
+                  uint8_t* mask) const override;
   BoxClass Classify(const Box& box) const override {
     return poly_->Classify(box);
   }
@@ -70,7 +73,8 @@ class BoxPredicate final : public SpatialPredicate {
   bool Matches(const float* p) const override { return box_->Contains(p); }
   /// SIMD interval test (core/simd_dist.h), bit-identical to
   /// Box::Contains including its NaN-counts-as-inside comparison shape.
-  void MatchBatch(const float* rows, size_t n, uint8_t* mask) const override;
+  void MatchBatch(const void* rows, size_t stride, size_t n,
+                  uint8_t* mask) const override;
   BoxClass Classify(const Box& box) const override;
 
   const Box& box() const { return *box_; }

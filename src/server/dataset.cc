@@ -1,6 +1,9 @@
 #include "server/dataset.h"
 
+#include <cmath>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -164,6 +167,55 @@ Result<ServedDataset> ServedDataset::Load(const std::string& path,
   ds.seed_ = manifest->seed;
   ds.source_ = "file:" + path;
   return ds;
+}
+
+Result<PointSet> ReadPointCsv(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    return Status::NotFound("cannot open csv file '" + path + "'");
+  }
+  PointSet points(0, 0);
+  size_t dim = 0;
+  std::string line;
+  size_t line_no = 0;
+  std::vector<float> row;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty() || line[0] == '#') continue;
+    row.clear();
+    std::stringstream ss(line);
+    std::string cell;
+    while (std::getline(ss, cell, ',')) {
+      float v;
+      try {
+        v = std::stof(cell);
+      } catch (...) {
+        return Status::InvalidArgument("csv line " + std::to_string(line_no) +
+                                       ": not a number: '" + cell + "'");
+      }
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("csv line " + std::to_string(line_no) +
+                                       ": not a finite number: '" + cell +
+                                       "'");
+      }
+      row.push_back(v);
+    }
+    if (row.empty()) continue;
+    if (dim == 0) {
+      dim = row.size();
+      points = PointSet(dim, 0);
+    } else if (row.size() != dim) {
+      return Status::InvalidArgument(
+          "csv line " + std::to_string(line_no) + " has " +
+          std::to_string(row.size()) + " columns, expected " +
+          std::to_string(dim));
+    }
+    points.Append(row.data());
+  }
+  if (points.size() == 0) {
+    return Status::InvalidArgument("csv file '" + path + "' holds no rows");
+  }
+  return points;
 }
 
 Status WriteDatasetFile(const DatasetFileOptions& options,

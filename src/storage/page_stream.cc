@@ -57,7 +57,9 @@ Result<PageId> PageStreamWriter::Finish() {
   if (current_ != kInvalidPageId) {
     MDS_ASSIGN_OR_RETURN(BufferPool::PageGuard guard, pool_->Fetch(current_));
     Page& page = guard.MutablePage();
-    std::memcpy(page.bytes() + kHeader, buffer_.data(), buffer_.size());
+    if (!buffer_.empty()) {
+      std::memcpy(page.bytes() + kHeader, buffer_.data(), buffer_.size());
+    }
     page.WriteAt<uint32_t>(8, static_cast<uint32_t>(buffer_.size()));
   }
   finished_ = true;

@@ -29,10 +29,7 @@ RangeScanner::RangeScanner(const Table* table, const Layout& layout)
 
 RangeScanner::RangeScanner(const Table* table, const Layout& layout,
                            const ScanOptions& options)
-    : table_(table), layout_(layout), options_(options) {
-  coord_batch_.resize(static_cast<size_t>(table->rows_per_page()) *
-                      layout.dim);
-}
+    : table_(table), layout_(layout), options_(options) {}
 
 Status RangeScanner::ScanStep(const PlanStep& step,
                               const SpatialPredicate& predicate,
@@ -62,7 +59,6 @@ Status RangeScanner::ScanRange(const RowRange& range,
   const uint32_t objid_off = schema.offset(layout_.objid_col);
   const uint32_t coord_off = schema.offset(layout_.first_coord_col);
   const uint32_t rows_per_page = table_->rows_per_page();
-  const size_t dim = layout_.dim;
 
   uint64_t row = range.begin;
   while (row < range.end) {
@@ -108,18 +104,13 @@ Status RangeScanner::ScanRange(const RowRange& range,
       stats->rows_emitted += room;
       out->rows += room;
     } else {
-      // Batched page decode: gather the page's coordinate columns into one
-      // contiguous buffer, then run the predicate over the batch. The
-      // membership mask is computed page-at-a-time (SIMD kernels); the
-      // counters are row-exact regardless, matching the per-row Matches
-      // path bit for bit: the scan stops on the row that reaches the
-      // limit.
-      for (uint64_t i = 0; i < rows_here; ++i) {
-        std::memcpy(&coord_batch_[i * dim], base + i * row_size + coord_off,
-                    dim * sizeof(float));
-      }
+      // The predicate reads the pinned page in place: its first
+      // coordinate column, one row size apart. The membership mask is
+      // computed page-at-a-time (SIMD kernels); the counters are
+      // row-exact regardless, matching the per-row Matches path bit for
+      // bit: the scan stops on the row that reaches the limit.
       match_mask_.resize(rows_here);
-      predicate.MatchBatch(coord_batch_.data(), rows_here,
+      predicate.MatchBatch(base + coord_off, row_size, rows_here,
                            match_mask_.data());
       uint64_t tested = 0;
       uint64_t matched = 0;

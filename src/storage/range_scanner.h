@@ -84,8 +84,8 @@ void CoalesceRanges(std::vector<RowRange>* ranges);
 
 /// Executes range plans against one stored point table through the buffer
 /// pool — the single physical scan loop every access path shares. Pages
-/// are pinned once each; the coordinate columns of a page's rows are
-/// decoded in one batch before predicate evaluation.
+/// are pinned once each; the predicate tests a page's rows in one batch,
+/// reading their coordinates where they sit in the pinned page.
 ///
 /// I/O accounting: the scanner counts its own page fetches and misses
 /// (via BufferPool::Fetch's physical-read report) rather than diffing
@@ -102,11 +102,11 @@ void CoalesceRanges(std::vector<RowRange>* ranges);
 class RangeScanner {
  public:
   /// Column layout of the scanned table (a point table: one int64 objid
-  /// column plus `dim` contiguous float32 coordinate columns).
+  /// column plus the predicate's dim() contiguous float32 coordinate
+  /// columns).
   struct Layout {
     size_t objid_col = 0;
     size_t first_coord_col = 1;
-    size_t dim = 0;
   };
 
   /// Degradation policy. Strict (default) propagates a checksum failure
@@ -151,7 +151,6 @@ class RangeScanner {
   ScanOptions options_;
   uint64_t pages_fetched_ = 0;  // this scanner's pins (logical fetches)
   uint64_t pages_read_ = 0;     // the subset that missed the pool
-  std::vector<float> coord_batch_;  // page-at-a-time coordinate scratch
   std::vector<uint8_t> match_mask_;  // page-at-a-time membership mask
 };
 

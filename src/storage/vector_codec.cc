@@ -18,7 +18,7 @@ void RawVectorCodec::Encode(const float* v, size_t n,
   out->resize(EncodedSize(n));
   uint32_t count = static_cast<uint32_t>(n);
   std::memcpy(out->data(), &count, 4);
-  std::memcpy(out->data() + 4, v, 4 * n);
+  if (n != 0) std::memcpy(out->data() + 4, v, 4 * n);
 }
 
 Result<std::vector<float>> RawVectorCodec::Decode(const uint8_t* data,
@@ -30,7 +30,9 @@ Result<std::vector<float>> RawVectorCodec::Decode(const uint8_t* data,
     return Status::Corruption("RawVectorCodec: truncated payload");
   }
   std::vector<float> out(count);
-  std::memcpy(out.data(), data + 4, 4 * static_cast<size_t>(count));
+  if (count != 0) {
+    std::memcpy(out.data(), data + 4, 4 * static_cast<size_t>(count));
+  }
   return out;
 }
 

@@ -21,8 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "core/index_io.h"
@@ -53,53 +51,6 @@ int Usage() {
       "       mdsctl inspect FILE\n"
       "       mdsctl verify FILE\n");
   return 2;
-}
-
-/// Reads a CSV of float coordinates (one row per line, comma-separated,
-/// '#' comment lines skipped); every row must have the same width.
-mds::Result<mds::PointSet> ReadCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return mds::Status::NotFound("mdsctl: cannot open csv file '" + path +
-                                 "'");
-  }
-  mds::PointSet points(0, 0);
-  size_t dim = 0;
-  std::string line;
-  size_t line_no = 0;
-  std::vector<float> row;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    row.clear();
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) {
-      try {
-        row.push_back(std::stof(cell));
-      } catch (...) {
-        return mds::Status::InvalidArgument(
-            "mdsctl: csv line " + std::to_string(line_no) +
-            ": not a number: '" + cell + "'");
-      }
-    }
-    if (row.empty()) continue;
-    if (dim == 0) {
-      dim = row.size();
-      points = mds::PointSet(dim, 0);
-    } else if (row.size() != dim) {
-      return mds::Status::InvalidArgument(
-          "mdsctl: csv line " + std::to_string(line_no) + " has " +
-          std::to_string(row.size()) + " columns, expected " +
-          std::to_string(dim));
-    }
-    points.Append(row.data());
-  }
-  if (points.size() == 0) {
-    return mds::Status::InvalidArgument("mdsctl: csv file '" + path +
-                                        "' holds no rows");
-  }
-  return points;
 }
 
 int RunBuild(int argc, char** argv) {
@@ -133,7 +84,7 @@ int RunBuild(int argc, char** argv) {
 
   mds::PointSet ingested(0, 0);
   if (!csv.empty()) {
-    auto parsed = ReadCsv(csv);
+    auto parsed = mds::ReadPointCsv(csv);
     if (!parsed.ok()) {
       std::fprintf(stderr, "mdsctl: %s\n",
                    parsed.status().ToString().c_str());

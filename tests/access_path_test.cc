@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "core/access_path.h"
+#include "core/simd_dist.h"
 #include "core/point_table.h"
 #include "core/query_planner.h"
 #include "sdss/catalog.h"
@@ -391,6 +393,105 @@ TEST_F(AccessPathTest, CountOnlyMatchesMaterializingOnEveryPath) {
             BruteForce(poly).size());
   EXPECT_EQ(ExpectCountOnlyParity(cases[1], strict).row_count,
             BruteForce(ball).size());
+}
+
+TEST_F(AccessPathTest, NonFiniteRowsKeepCountOnlyParityOnEveryTier) {
+  // The catalog with NaN and +-inf coordinates written into some rows,
+  // stored in the kd, Voronoi and heap orders of the (finite) indexes.
+  // Partial ranges test these rows in place on the pinned page: the dense
+  // reference decides them, and every tier must agree with the scalar one.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), kInf,
+                            -kInf};
+  PointSet tainted = catalog_->colors;
+  uint64_t poisoned = 0;
+  for (uint64_t i = 0; i < tainted.size(); i += 13) {
+    float* row = tainted.mutable_point(i);
+    if (i % 101 == 0) {
+      for (size_t j = 0; j < kNumBands; ++j) row[j] = specials[i % 3];
+    } else {
+      row[(i / 13) % kNumBands] = specials[(i / 13) % 3];
+    }
+    ++poisoned;
+  }
+  ASSERT_GT(poisoned, 7000u);
+  MemPager pager;
+  BufferPool pool(&pager, 1u << 14);
+  Table heap =
+      MaterializePointTable(&pool, tainted, {}).MoveValue();
+  Table kd = MaterializePointTable(&pool, tainted,
+                                   kd_index_->clustered_order())
+                 .MoveValue();
+  Table voronoi = MaterializePointTable(&pool, tainted,
+                                        voronoi_index_->clustered_order())
+                      .MoveValue();
+  const PointTableBinding heap_binding = BindPointTable(&heap, kNumBands);
+  const PointTableBinding kd_binding = BindPointTable(&kd, kNumBands);
+  const PointTableBinding voronoi_binding =
+      BindPointTable(&voronoi, kNumBands);
+
+  const Box box = LocusBox(0.8);
+  const Polyhedron poly = Polyhedron::FromBox(box);
+  double mags[kNumBands];
+  StellarLocus(0.5, 0.0, mags);
+  const Polyhedron ball = Polyhedron::BallApproximation(
+      std::vector<double>(mags, mags + kNumBands), 0.9, 40);
+  const std::vector<PathFactory> cases = {
+      [&](Rng*) { return std::make_unique<FullScanPath>(heap_binding, box); },
+      [&](Rng*) { return std::make_unique<FullScanPath>(heap_binding, poly); },
+      [&](Rng*) { return std::make_unique<FullScanPath>(heap_binding, ball); },
+      [&](Rng*) {
+        return std::make_unique<KdTreePath>(kd_binding, *kd_index_, poly);
+      },
+      [&](Rng*) {
+        return std::make_unique<KdTreePath>(kd_binding, *kd_index_, ball);
+      },
+      [&](Rng*) {
+        return std::make_unique<VoronoiPath>(voronoi_binding, *voronoi_index_,
+                                             poly);
+      },
+  };
+
+  // Full scans test every row, so they must equal the brute-force
+  // answers over the tainted rows: the box admits NaN coordinates
+  // (Box::Contains), the polyhedra reject them (Polyhedron::Contains).
+  std::vector<int64_t> box_truth, poly_truth, ball_truth;
+  for (uint64_t i = 0; i < tainted.size(); ++i) {
+    const float* p = tainted.point(i);
+    if (box.Contains(p)) box_truth.push_back(static_cast<int64_t>(i));
+    if (poly.Contains(p)) poly_truth.push_back(static_cast<int64_t>(i));
+    if (ball.Contains(p)) ball_truth.push_back(static_cast<int64_t>(i));
+  }
+  ASSERT_GT(box_truth.size(), poly_truth.size());  // NaN rows differ
+
+  const SimdTier startup = ActiveSimdTier();
+  std::vector<StorageQueryResult> scalar_results;
+  for (SimdTier tier : {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
+    if (tier > startup) break;
+    SetSimdTierForTest(tier);
+    std::vector<StorageQueryResult> results;
+    for (const PathFactory& make : cases) {
+      results.push_back(
+          ExpectCountOnlyParity(make, RangeScanner::ScanOptions{}));
+      EXPECT_GT(results.back().row_count, 0u);
+    }
+    EXPECT_EQ(SortedIds(results[0]), box_truth) << SimdTierName(tier);
+    EXPECT_EQ(SortedIds(results[1]), poly_truth) << SimdTierName(tier);
+    EXPECT_EQ(SortedIds(results[2]), ball_truth) << SimdTierName(tier);
+    if (tier == SimdTier::kScalar) {
+      scalar_results = results;
+      continue;
+    }
+    for (size_t c = 0; c < results.size(); ++c) {
+      EXPECT_EQ(results[c].objids, scalar_results[c].objids)
+          << "case " << c << " tier " << SimdTierName(tier);
+      EXPECT_EQ(results[c].rows_scanned, scalar_results[c].rows_scanned)
+          << "case " << c << " tier " << SimdTierName(tier);
+      EXPECT_EQ(results[c].pages_fetched, scalar_results[c].pages_fetched)
+          << "case " << c << " tier " << SimdTierName(tier);
+    }
+  }
+  SetSimdTierForTest(startup);
 }
 
 TEST_F(AccessPathTest, CountOnlyMatchesMaterializingOverCorruptPages) {

@@ -492,5 +492,62 @@ TEST(DatasetFileTest, IngestedPointsRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// Writes `body` to a temp file and parses it with ReadPointCsv.
+Result<PointSet> ParseCsv(const char* name, const std::string& body) {
+  const std::string path = TempPath(name);
+  {
+    std::ofstream out(path);
+    out << body;
+  }
+  Result<PointSet> parsed = ReadPointCsv(path);
+  std::remove(path.c_str());
+  return parsed;
+}
+
+TEST(ReadPointCsvTest, ParsesRowsAndSkipsComments) {
+  auto parsed = ParseCsv("mds_csv_ok.csv",
+                         "# ra,dec,z\n1.5,-2,3e2\n\n0,0.25,-0\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->dim(), 3u);
+  EXPECT_EQ(parsed->raw(),
+            (std::vector<float>{1.5f, -2.0f, 300.0f, 0.0f, 0.25f, -0.0f}));
+}
+
+TEST(ReadPointCsvTest, RejectsNonFiniteCellsNamingTheLine) {
+  // stof parses all of these; a box answer over such a row would depend
+  // on the access path, so ingest refuses them.
+  for (const char* cell : {"nan", "NaN", "-nan", "inf", "-inf", "INF",
+                           "infinity", "-Infinity"}) {
+    auto parsed = ParseCsv("mds_csv_nonfinite.csv",
+                           std::string("1,2\n3,4\n5,") + cell + "\n");
+    ASSERT_FALSE(parsed.ok()) << cell;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << cell;
+    EXPECT_NE(parsed.status().message().find("csv line 3"),
+              std::string::npos)
+        << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find(cell), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ReadPointCsvTest, RejectsMalformedInput) {
+  auto word = ParseCsv("mds_csv_word.csv", "1,2\nx,2\n");
+  ASSERT_FALSE(word.ok());
+  EXPECT_EQ(word.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(word.status().message().find("csv line 2"), std::string::npos);
+
+  auto ragged = ParseCsv("mds_csv_ragged.csv", "1,2\n1,2,3\n");
+  ASSERT_FALSE(ragged.ok());
+  EXPECT_EQ(ragged.status().code(), StatusCode::kInvalidArgument);
+
+  auto empty = ParseCsv("mds_csv_empty.csv", "# header only\n");
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+
+  auto missing = ReadPointCsv(TempPath("mds_csv_missing.csv"));
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+}
+
 }  // namespace
 }  // namespace mds

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -468,13 +469,21 @@ TEST_F(ServerTest, GracefulDrainCompletesAdmittedRejectsNew) {
   ASSERT_TRUE(server.Start().ok());
 
   // In-flight work across several connections while the drain lands.
+  // Every client completes one request before a barrier, and the drain
+  // waits for the barrier: all four connections are accepted before the
+  // listener closes, so no client can be refused mid-connect.
+  constexpr int kClients = 4;
   std::atomic<bool> drain_requested{false};
+  std::atomic<bool> all_connected{false};
   std::atomic<uint64_t> completed{0};
   std::atomic<uint64_t> rejected{0};
+  std::barrier connected(kClients,
+                         [&]() noexcept { all_connected.store(true); });
   std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kClients; ++t) {
     workers.emplace_back([&] {
       auto client = QueryClient::Connect("127.0.0.1", server.port());
+      if (!client.ok()) connected.arrive_and_drop();  // never strand peers
       ASSERT_TRUE(client.ok());
       for (int i = 0; i < 10; ++i) {
         auto r = client->PointCount(LocusBox(1.0));
@@ -487,12 +496,13 @@ TEST_F(ServerTest, GracefulDrainCompletesAdmittedRejectsNew) {
           EXPECT_TRUE(drain_requested.load());
           rejected.fetch_add(1);
         }
+        if (i == 0) connected.arrive_and_wait();
       }
     });
   }
 
-  // Let some requests through, then drain mid-stream.
-  while (completed.load() == 0) std::this_thread::yield();
+  // Let every client through once, then drain mid-stream.
+  while (!all_connected.load()) std::this_thread::yield();
   drain_requested.store(true);
   server.RequestDrain();
   EXPECT_TRUE(server.draining());

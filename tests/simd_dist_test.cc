@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/kdtree.h"
@@ -368,9 +369,10 @@ TEST(SimdDist, HalfspacesContainBatchMatchesPolyhedronContains) {
           for (SimdTier tier : ReachableTiers()) {
             TierGuard guard(tier);
             std::vector<uint8_t> mask(n, 0xCC);
-            HalfspacesContainBatch(set, rows, n, mask.data());
+            HalfspacesContainBatch(set, rows, dim * sizeof(float), n,
+                                   mask.data());
             std::vector<uint8_t> batch(n, 0xCC);
-            predicate.MatchBatch(rows, n, batch.data());
+            predicate.MatchBatch(rows, dim * sizeof(float), n, batch.data());
             for (size_t i = 0; i < n; ++i) {
               ASSERT_EQ(mask[i], expected[i])
                   << "tier=" << SimdTierName(tier) << " dim=" << dim
@@ -388,6 +390,213 @@ TEST(SimdDist, HalfspacesContainBatchMatchesPolyhedronContains) {
   // The sweep exercises both outcomes, not a degenerate all-in/all-out.
   EXPECT_GT(inside, 1000u);
   EXPECT_GT(outside, 1000u);
+}
+
+/// `n` rows of `dim` floats laid out `stride` bytes apart from byte
+/// `start` of the returned buffer, the way a page holds them after each
+/// row's objid. The padding is 0xFF bytes (a NaN pattern), so a kernel
+/// that reads outside a row's coordinates changes its answer; the buffer
+/// ends with the last row, so ASan catches a read past it.
+std::vector<unsigned char> StridedCopy(const float* rows, size_t n,
+                                       size_t dim, size_t stride,
+                                       size_t start) {
+  const size_t bytes = n == 0 ? start : start + (n - 1) * stride +
+                                            dim * sizeof(float);
+  std::vector<unsigned char> out(bytes, 0xFF);
+  for (size_t i = 0; i < n; ++i) {
+    std::memcpy(out.data() + start + i * stride, rows + i * dim,
+                dim * sizeof(float));
+  }
+  return out;
+}
+
+/// Row strides for `dim`: packed page rows of 5-7-9 coordinates plus an
+/// objid (20, 28, 36 bytes) where the row fits, the objid layout of any
+/// width, and an odd stride that misaligns every other row.
+std::vector<size_t> TestStrides(size_t dim) {
+  std::vector<size_t> strides;
+  for (size_t stride : {size_t{20}, size_t{28}, size_t{36},
+                        dim * sizeof(float) + 8, dim * sizeof(float) + 5}) {
+    if (stride >= dim * sizeof(float)) strides.push_back(stride);
+  }
+  return strides;
+}
+
+TEST(SimdDist, StridedKernelsMatchContiguous) {
+  uint64_t state = 11;
+  uint64_t inside = 0;
+  uint64_t outside = 0;
+  for (size_t dim = 1; dim <= 18; ++dim) {
+    std::vector<Polyhedron> polys = TestPolyhedra(dim, &state);
+    const Box box(std::vector<double>(dim, -150.0),
+                  std::vector<double>(dim, 150.0));
+    std::vector<HalfspaceSet> sets;
+    for (const Polyhedron& poly : polys) {
+      sets.emplace_back(dim);
+      for (const Halfspace& h : poly.halfspaces()) {
+        sets.back().Add(h.normal.data(), h.offset);
+      }
+    }
+    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{8}, size_t{63},
+                     size_t{292}}) {
+      const std::vector<float> rows = HalfspaceRows(n * dim, &state);
+      for (SimdTier tier : ReachableTiers()) {
+        TierGuard guard(tier);
+        // The contiguous answers, as the kernels gave them before strides.
+        std::vector<uint8_t> box_expected(n, 0xCC);
+        BoxContainsBatch(box.lo().data(),
+                         box.hi().data(), rows.data(), n, dim,
+                         box_expected.data());
+        std::vector<std::vector<uint8_t>> poly_expected;
+        for (const HalfspaceSet& set : sets) {
+          poly_expected.emplace_back(n, 0xCC);
+          HalfspacesContainBatch(set, rows.data(), dim * sizeof(float), n,
+                                 poly_expected.back().data());
+        }
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(box_expected[i],
+                    box.Contains(rows.data() + i * dim) ? 1 : 0);
+          (box_expected[i] ? inside : outside) += 1;
+        }
+        for (size_t stride : TestStrides(dim)) {
+          for (size_t start : {size_t{0}, size_t{1}, size_t{3}, size_t{8}}) {
+            const std::vector<unsigned char> strided =
+                StridedCopy(rows.data(), n, dim, stride, start);
+            const unsigned char* base = strided.data() + start;
+            std::vector<uint8_t> mask(n, 0xCC);
+            BoxContainsBatch(box.lo().data(),
+                             box.hi().data(), base, stride, n,
+                             dim, mask.data());
+            ASSERT_EQ(mask, box_expected)
+                << "box tier=" << SimdTierName(tier) << " dim=" << dim
+                << " n=" << n << " stride=" << stride << " start=" << start;
+            for (size_t k = 0; k < sets.size(); ++k) {
+              std::vector<uint8_t> poly_mask(n, 0xCC);
+              HalfspacesContainBatch(sets[k], base, stride, n,
+                                     poly_mask.data());
+              ASSERT_EQ(poly_mask, poly_expected[k])
+                  << "polyhedron " << k << " tier=" << SimdTierName(tier)
+                  << " dim=" << dim << " n=" << n << " stride=" << stride
+                  << " start=" << start;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes occur: the box neither admits nor rejects every row.
+  EXPECT_GT(inside, 1000u);
+  EXPECT_GT(outside, 1000u);
+}
+
+/// Runs `poly` through HalfspacesContainBatch on every reachable tier over
+/// special-valued rows and compares each mask byte with
+/// Polyhedron::Contains; returns the set so callers can check its form.
+HalfspaceSet ExpectMatchesContains(const Polyhedron& poly,
+                                   const std::vector<float>& rows,
+                                   const std::string& what) {
+  const size_t dim = poly.dim();
+  HalfspaceSet set(dim);
+  for (const Halfspace& h : poly.halfspaces()) {
+    set.Add(h.normal.data(), h.offset);
+  }
+  const size_t n = rows.size() / dim;
+  for (SimdTier tier : ReachableTiers()) {
+    TierGuard guard(tier);
+    std::vector<uint8_t> mask(n, 0xCC);
+    HalfspacesContainBatch(set, rows.data(), dim * sizeof(float), n,
+                           mask.data());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(mask[i], poly.Contains(rows.data() + i * dim) ? 1 : 0)
+          << what << " tier=" << SimdTierName(tier) << " i=" << i;
+    }
+  }
+  return set;
+}
+
+TEST(SimdDist, IntervalFormIsExactAndOnlyForUnitAxisHalfspaces) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  uint64_t state = 13;
+  for (size_t dim : {size_t{1}, size_t{2}, size_t{5}, size_t{7}, size_t{16},
+                     size_t{18}}) {
+    const std::vector<float> rows = HalfspaceRows(301 * dim, &state);
+    auto axis = [&](size_t j, double coef) {
+      std::vector<double> normal(dim, 0.0);
+      normal[j] = coef;
+      return normal;
+    };
+    std::vector<double> lo(dim), hi(dim);
+    for (size_t j = 0; j < dim; ++j) {
+      lo[j] = -20.0 - static_cast<double>(j);
+      hi[j] = 30.0 + static_cast<double>(j);
+    }
+
+    // FromBox: the interval form, with the box's own bounds.
+    const Polyhedron from_box = Polyhedron::FromBox(Box(lo, hi));
+    HalfspaceSet set = ExpectMatchesContains(from_box, rows, "FromBox");
+    EXPECT_TRUE(set.is_interval);
+    EXPECT_EQ(set.lo, lo);
+    EXPECT_EQ(set.hi, hi);
+
+    // Infinite bounds, unbounded axes and two halfspaces on one axis: the
+    // tighter bound of each side wins.
+    Polyhedron mixed(dim);
+    mixed.AddHalfspace(axis(0, 1.0), kInf);
+    mixed.AddHalfspace(axis(0, -1.0), 40.0);
+    mixed.AddHalfspace(axis(0, -1.0), 12.5);
+    mixed.AddHalfspace(axis(0, 1.0), 55.0);
+    mixed.AddHalfspace(axis(0, 1.0), 70.0);
+    if (dim > 1) mixed.AddHalfspace(axis(dim - 1, -1.0), kInf);
+    set = ExpectMatchesContains(mixed, rows, "infinite bounds");
+    EXPECT_TRUE(set.is_interval);
+    EXPECT_EQ(set.lo[0], -12.5);
+    EXPECT_EQ(set.hi[0], 55.0);
+    if (dim > 1) {
+      EXPECT_EQ(set.lo[dim - 1], -kInf);
+      EXPECT_EQ(set.hi[dim - 1], kInf);
+    }
+
+    // A -inf upper bound empties the region for finite rows.
+    Polyhedron empty(dim);
+    empty.AddHalfspace(axis(dim - 1, 1.0), -kInf);
+    EXPECT_TRUE(ExpectMatchesContains(empty, rows, "-inf bound").is_interval);
+
+    // +-0 offsets: x <= +0, -x <= -0, x <= -0, -x <= +0 on one axis each.
+    Polyhedron zeros(dim);
+    zeros.AddHalfspace(axis(0, 1.0), 0.0);
+    zeros.AddHalfspace(axis(0, -1.0), -0.0);
+    zeros.AddHalfspace(axis(dim - 1, 1.0), -0.0);
+    zeros.AddHalfspace(axis(dim - 1, -1.0), 0.0);
+    EXPECT_TRUE(ExpectMatchesContains(zeros, rows, "+-0 offsets").is_interval);
+
+    // Only coefficients of exactly +-1 may take the interval form: 0.5 x
+    // or 2 x round differently from x against a scaled offset.
+    for (double coef : {0.5, 2.0, -0.5, -2.0}) {
+      Polyhedron scaled = Polyhedron::FromBox(Box(lo, hi));
+      scaled.AddHalfspace(axis(0, coef), 7.0);
+      EXPECT_FALSE(
+          ExpectMatchesContains(scaled, rows, "scaled coefficient")
+              .is_interval)
+          << coef;
+    }
+
+    // A NaN offset fails every row: never an interval bound.
+    Polyhedron nan_offset = Polyhedron::FromBox(Box(lo, hi));
+    nan_offset.AddHalfspace(axis(0, 1.0), nan);
+    EXPECT_FALSE(
+        ExpectMatchesContains(nan_offset, rows, "NaN offset").is_interval);
+
+    // Two nonzero terms in one halfspace: general.
+    if (dim > 1) {
+      Polyhedron diagonal = Polyhedron::FromBox(Box(lo, hi));
+      std::vector<double> normal = axis(0, 1.0);
+      normal[1] = 1.0;
+      diagonal.AddHalfspace(normal, 3.0);
+      EXPECT_FALSE(
+          ExpectMatchesContains(diagonal, rows, "diagonal").is_interval);
+    }
+  }
 }
 
 TEST(SimdDist, KnnNeighborOrderIdenticalAcrossTiersWithTies) {
