@@ -1,10 +1,13 @@
 // Thread-scaling of the parallel query machinery (DESIGN.md "Concurrency
 // model"): intra-query ParallelRangeScanner speedup, inter-query
 // ExecuteBatch throughput and the parallel kd-tree build, at 1/2/4/8
-// workers over one shared lock-striped BufferPool. Correctness is asserted
-// inline: every parallel execution must return the serial objid sequence,
-// and (limit == 0) the identical pages_fetched count.
+// workers over one shared lock-striped BufferPool, plus the same batch over
+// a pool of 1/8 of the table (spill), where most fetches miss and load
+// through the pager. Correctness is asserted inline: every parallel
+// execution must return the serial objid sequence, and (limit == 0) the
+// identical pages_fetched count.
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -141,15 +144,18 @@ void Run(const bench::BenchOptions& options) {
   const auto queries = MakeQueryBatch(batch_size);
 
   std::vector<std::vector<int64_t>> expected;
+  std::vector<uint64_t> expected_pages;
   bench::LatencyRecorder per_query;
   WallTimer loop_timer;
   for (const Polyhedron& poly : queries) {
     KdTreePath path(binding, *tree, poly);
+    QueryStats stats;
     WallTimer query_timer;
-    auto result = ExecuteAccessPath(&path);
+    auto result = ExecuteAccessPath(&path, &stats);
     per_query.RecordMillis(query_timer.Millis());
     MDS_CHECK(result.ok());
     expected.push_back(std::move(result->objids));
+    expected_pages.push_back(stats.pages_fetched);
   }
   const double loop_ms = loop_timer.Millis();
 
@@ -179,6 +185,60 @@ void Run(const bench::BenchOptions& options) {
     char name[32];
     std::snprintf(name, sizeof(name), "batch_t%u", threads);
     bench::EmitJson(options, name, batch_size, ms, 0);
+  }
+
+  // Spill: the same batch over a cold pool of 1/8 of the table, so misses,
+  // CRC checks and eviction dominate. Each worker count starts from a
+  // fresh pool; pages_fetched is counted per scanner, so it must still
+  // equal the serial run's exactly while physical_reads varies with the
+  // interleaving.
+  MDS_CHECK(pool.FlushAll().ok());
+  std::vector<PageId> page_ids;
+  for (uint64_t p = 0; p < table->num_pages(); ++p) {
+    page_ids.push_back(table->page_id(p));
+  }
+  const size_t spill_capacity =
+      std::max<size_t>(1, static_cast<size_t>(table->num_pages() / 8));
+  std::printf("\n-- spill: ExecuteBatch, %zu queries, pool %zu of %llu pages "
+              "--\n",
+              batch_size, spill_capacity,
+              (unsigned long long)table->num_pages());
+  std::printf("%-8s %-10s %-9s %-14s\n", "threads", "batch_ms", "speedup",
+              "physical_reads");
+  double spill_t1_ms = 0.0;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    BufferPool spill_pool(&pager, spill_capacity);
+    auto spill_table = Table::Attach(&spill_pool, table->schema(), page_ids,
+                                     table->num_rows());
+    MDS_CHECK(spill_table.ok());
+    const PointTableBinding spill_binding =
+        BindPointTable(&*spill_table, kNumBands);
+    std::vector<std::unique_ptr<AccessPath>> paths;
+    for (const Polyhedron& poly : queries) {
+      paths.push_back(
+          std::make_unique<KdTreePath>(spill_binding, *tree, poly));
+    }
+    QueryEngine::BatchOptions batch_options;
+    batch_options.num_threads = threads;
+    std::vector<QueryStats> stats;
+    WallTimer timer;
+    auto results =
+        QueryEngine::ExecuteBatch(std::move(paths), batch_options, &stats);
+    const double ms = timer.Millis();
+    MDS_CHECK(results.size() == queries.size());
+    MDS_CHECK(stats.size() == queries.size());
+    for (size_t q = 0; q < results.size(); ++q) {
+      MDS_CHECK(results[q].ok());
+      MDS_CHECK(results[q]->objids == expected[q]);
+      MDS_CHECK(stats[q].pages_fetched == expected_pages[q]);
+    }
+    if (threads == 1) spill_t1_ms = ms;
+    const uint64_t physical_reads = spill_pool.stats().physical_reads;
+    std::printf("%-8u %-10.1f %-9.2f %-14llu\n", threads, ms,
+                spill_t1_ms / ms, (unsigned long long)physical_reads);
+    char name[32];
+    std::snprintf(name, sizeof(name), "spill_batch_t%u", threads);
+    bench::EmitJson(options, name, batch_size, ms, physical_reads);
   }
 }
 

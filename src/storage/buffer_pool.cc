@@ -37,97 +37,134 @@ BufferPool::~BufferPool() {
 }
 
 Result<BufferPool::PageGuard> BufferPool::Fetch(PageId id, bool* physical) {
-  if (IsQuarantined(id)) {
-    return Status::Corruption("page " + std::to_string(id) +
-                              " is quarantined (failed checksum earlier)");
-  }
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.logical_reads.fetch_add(1, std::memory_order_relaxed);
   MDS_ASSIGN_OR_RETURN(Frame * frame,
-                       GetFrame(shard, id, /*load=*/true, physical));
-  Pin(shard, frame);
+                       PinFrame(ShardFor(id), id, /*load=*/true, physical));
   return PageGuard(this, frame);
 }
 
 Result<BufferPool::PageGuard> BufferPool::Allocate() {
   MDS_ASSIGN_OR_RETURN(PageId id, pager_->AllocatePage());
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.logical_reads.fetch_add(1, std::memory_order_relaxed);
   MDS_ASSIGN_OR_RETURN(Frame * frame,
-                       GetFrame(shard, id, /*load=*/false, nullptr));
-  Pin(shard, frame);
+                       PinFrame(ShardFor(id), id, /*load=*/false, nullptr));
   PageGuard guard(this, frame);
   guard.MarkDirty();
   return guard;
 }
 
-Result<BufferPool::Frame*> BufferPool::GetFrame(Shard& shard, PageId id,
+Result<BufferPool::Frame*> BufferPool::PinFrame(Shard& shard, PageId id,
                                                 bool load, bool* physical) {
   if (physical != nullptr) *physical = false;
-  auto it = shard.frames.find(id);
-  if (it != shard.frames.end()) {
-    return it->second.get();
+  std::unique_lock<std::mutex> lock(shard.mu);
+  for (auto it = shard.frames.find(id); it != shard.frames.end();
+       it = shard.frames.find(id)) {
+    Frame* f = it->second.get();
+    if (!f->loading) {
+      shard.logical_reads.fetch_add(1, std::memory_order_relaxed);
+      Pin(shard, f);
+      return f;
+    }
+    // Another fetch is reading this page: wait for it to publish or fail
+    // instead of reading the page a second time.
+    ++shard.waiters;
+    shard.loaded.wait(lock);
+    --shard.waiters;
   }
+  // Checked under the shard lock: a failed load quarantines under this
+  // same lock, so no fetch can slip in between and re-read a bad page.
+  if (load && IsQuarantined(id)) {
+    return Status::Corruption("page " + std::to_string(id) +
+                              " is quarantined (failed checksum earlier)");
+  }
+  shard.logical_reads.fetch_add(1, std::memory_order_relaxed);
+  MDS_ASSIGN_OR_RETURN(Frame * f, ClaimFrame(shard, id));
+  if (!load) {
+    f->page.data.fill(0);
+    return f;
+  }
+  f->loading = true;
+  shard.physical_reads.fetch_add(1, std::memory_order_relaxed);
+  if (physical != nullptr) *physical = true;
+  lock.unlock();
+
+  // The frame is pinned and loading: no eviction and no other fetch
+  // touches its bytes while the lock is dropped.
+  Status status = pager_->ReadPage(id, &f->page);
+  PageVerdict verdict = PageVerdict::kOk;
+  if (status.ok() && verify_checksums_) {
+    verdict = VerifyPageChecksum(f->page);
+    if (verdict == PageVerdict::kCorrupt) {
+      status = Status::Corruption(
+          "page " + std::to_string(id) + " failed checksum: stored=" +
+          std::to_string(PageStoredCrc(f->page)) +
+          " computed=" + std::to_string(PageComputedCrc(f->page)));
+    }
+  }
+
+  lock.lock();
+  f->loading = false;
+  if (shard.waiters > 0) shard.loaded.notify_all();
+  if (!status.ok()) {
+    if (verdict == PageVerdict::kCorrupt) {
+      shard.checksum_failures.fetch_add(1, std::memory_order_relaxed);
+      Quarantine(id);
+    }
+    // The frame leaves the table: a page that failed to load must not be
+    // served from cache, not even by accident.
+    f->pins = 0;
+    Recycle(shard, f);
+    return status;
+  }
+  if (verify_checksums_) {
+    (verdict == PageVerdict::kOk ? shard.checksums_verified
+                                 : shard.checksum_skips)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+  return f;
+}
+
+Result<BufferPool::Frame*> BufferPool::ClaimFrame(Shard& shard, PageId id) {
   while (shard.frames.size() >= shard.capacity) {
     MDS_RETURN_NOT_OK(EvictOne(shard));
   }
-  auto frame = std::make_unique<Frame>();
-  frame->id = id;
-  if (load) {
-    shard.physical_reads.fetch_add(1, std::memory_order_relaxed);
-    if (physical != nullptr) *physical = true;
-    MDS_RETURN_NOT_OK(pager_->ReadPage(id, &frame->page));
-    if (verify_checksums_) {
-      switch (VerifyPageChecksum(frame->page)) {
-        case PageVerdict::kOk:
-          shard.checksums_verified.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case PageVerdict::kUnformatted:
-          shard.checksum_skips.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case PageVerdict::kCorrupt:
-          // The frame is dropped, never entering the table: a corrupt
-          // page must not be served from cache, not even by accident.
-          shard.checksum_failures.fetch_add(1, std::memory_order_relaxed);
-          Quarantine(id);
-          return Status::Corruption(
-              "page " + std::to_string(id) + " failed checksum: stored=" +
-              std::to_string(PageStoredCrc(frame->page)) +
-              " computed=" + std::to_string(PageComputedCrc(frame->page)));
-      }
-    }
+  Frame* f;
+  if (shard.spare.empty()) {
+    f = shard.frames.emplace(id, std::make_unique<Frame>()).first->second.get();
+  } else {
+    FrameMap::node_type node = std::move(shard.spare.back());
+    shard.spare.pop_back();
+    node.key() = id;
+    f = node.mapped().get();
+    shard.frames.insert(std::move(node));
   }
-  Frame* raw = frame.get();
-  shard.frames.emplace(id, std::move(frame));
-  return raw;
+  f->id = id;
+  f->pins = 1;
+  f->dirty = false;
+  f->loading = false;
+  return f;
+}
+
+void BufferPool::Recycle(Shard& shard, Frame* f) {
+  shard.spare.push_back(shard.frames.extract(f->id));
 }
 
 Status BufferPool::EvictOne(Shard& shard) {
-  // Evict the least recently used unpinned page of this shard.
-  for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-    PageId victim = *it;
-    auto fit = shard.frames.find(victim);
-    MDS_CHECK(fit != shard.frames.end());
-    Frame* f = fit->second.get();
-    if (f->pins != 0) continue;
-    if (f->dirty) {
-      MDS_RETURN_NOT_OK(WriteBack(shard, f));
-    }
-    shard.lru.erase(std::next(it).base());
-    shard.frames.erase(fit);
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
+  // The LRU list holds exactly the unpinned frames, so its tail is the
+  // least recently used evictable page of this shard.
+  Frame* victim = shard.lru_tail;
+  if (victim == nullptr) {
+    return Status::ResourceExhausted("buffer pool: all pages of shard pinned");
   }
-  return Status::ResourceExhausted("buffer pool: all pages of shard pinned");
+  if (victim->dirty) {
+    MDS_RETURN_NOT_OK(WriteBack(shard, victim));
+  }
+  LruRemove(shard, victim);
+  Recycle(shard, victim);
+  shard.evictions.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 void BufferPool::Pin(Shard& shard, Frame* f) {
-  if (f->in_lru) {
-    shard.lru.erase(f->lru_pos);
-    f->in_lru = false;
-  }
+  if (f->pins == 0) LruRemove(shard, f);
   ++f->pins;
 }
 
@@ -137,11 +174,27 @@ void BufferPool::Unpin(Frame* f, bool dirty) {
   MDS_CHECK(f->pins > 0);
   f->dirty = f->dirty || dirty;
   --f->pins;
-  if (f->pins == 0) {
-    shard.lru.push_front(f->id);
-    f->lru_pos = shard.lru.begin();
-    f->in_lru = true;
+  if (f->pins == 0) LruPushFront(shard, f);
+}
+
+void BufferPool::LruPushFront(Shard& shard, Frame* f) {
+  f->lru_prev = nullptr;
+  f->lru_next = shard.lru_head;
+  if (shard.lru_head != nullptr) {
+    shard.lru_head->lru_prev = f;
+  } else {
+    shard.lru_tail = f;
   }
+  shard.lru_head = f;
+}
+
+void BufferPool::LruRemove(Shard& shard, Frame* f) {
+  (f->lru_prev != nullptr ? f->lru_prev->lru_next : shard.lru_head) =
+      f->lru_next;
+  (f->lru_next != nullptr ? f->lru_next->lru_prev : shard.lru_tail) =
+      f->lru_prev;
+  f->lru_prev = nullptr;
+  f->lru_next = nullptr;
 }
 
 Status BufferPool::FlushAll() {

@@ -2,8 +2,8 @@
 #define MDS_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -73,13 +73,26 @@ struct CounterSnapshot {
 /// list and capacity slice, so two queries touching different pages rarely
 /// contend. Counters are per-shard atomics aggregated on read.
 ///
+/// A miss never holds its shard mutex across I/O: under the lock it claims
+/// a frame (evicting the LRU victim, recycling a spare frame), inserts it
+/// pinned and marked `loading`, then drops the lock for the pager read and
+/// CRC check and relocks to publish the frame. A fetch of a page that is
+/// still loading waits on the shard's condition variable, so a page is
+/// read once however many threads want it, and hits on other pages of the
+/// shard proceed meanwhile. A loading frame is never evicted. If the CRC
+/// fails, the frame leaves the table and the page is quarantined before
+/// any waiter wakes, so every waiter gets kCorruption without a second
+/// read; on any other pager error the waiters retry the load themselves.
+///
 /// Per-method guarantees:
 ///  - Fetch / Allocate / guard release: thread-safe (shard mutex held only
-///    for table/LRU bookkeeping and miss I/O of that shard).
+///    for table/LRU bookkeeping, never across miss reads; dirty eviction
+///    write-back and FlushAll still write under it).
 ///  - FlushAll: thread-safe, but flushes a moving target if writers are
 ///    active; quiesce writers for a meaningful barrier.
 ///  - stats / Snapshot / Delta: thread-safe, lock-free counter reads.
-///  - resident: thread-safe (briefly takes each shard lock in turn).
+///  - resident: thread-safe (briefly takes each shard lock in turn; counts
+///    loading frames).
 ///  - ResetStats: thread-safe, but only meaningful while quiescent.
 ///  - Construction/destruction: single-threaded, strictly before/after all
 ///    concurrent use.
@@ -151,23 +164,35 @@ class BufferPool {
   static constexpr size_t kMaxAutoShards = 16;
 
  private:
+  /// A resident page. Frames of a shard are recycled through its spare
+  /// list, so a miss at capacity neither allocates nor zero-fills a page.
   struct Frame {
     PageId id = kInvalidPageId;
     Page page;
     uint32_t pins = 0;
     bool dirty = false;
-    std::list<PageId>::iterator lru_pos;  // valid iff pins == 0
-    bool in_lru = false;
+    bool loading = false;  // pinned by its loader; bytes not yet verified
+    // Intrusive LRU links (toward the MRU and LRU ends); the frame is on
+    // the shard's LRU list iff pins == 0.
+    Frame* lru_prev = nullptr;
+    Frame* lru_next = nullptr;
   };
+
+  using FrameMap = std::unordered_map<PageId, std::unique_ptr<Frame>>;
 
   /// One lock stripe: an independent LRU pool over the page ids congruent
   /// to its index modulo the shard count. All fields below `mu` are
   /// guarded by `mu`; the counters are atomics so readers never lock.
   struct Shard {
     std::mutex mu;
+    std::condition_variable loaded;  // a loading frame resolved
+    uint32_t waiters = 0;            // fetches waiting on `loaded`
     size_t capacity = 0;
-    std::unordered_map<PageId, std::unique_ptr<Frame>> frames;
-    std::list<PageId> lru;  // front = most recently used
+    FrameMap frames;
+    Frame* lru_head = nullptr;  // most recently used
+    Frame* lru_tail = nullptr;  // eviction victim
+    // Table nodes of evicted or failed frames, reused by the next miss.
+    std::vector<FrameMap::node_type> spare;
 
     std::atomic<uint64_t> logical_reads{0};
     std::atomic<uint64_t> physical_reads{0};
@@ -180,11 +205,19 @@ class BufferPool {
 
   Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }
 
-  /// Looks up or loads a frame; called with the shard mutex held.
-  Result<Frame*> GetFrame(Shard& shard, PageId id, bool load, bool* physical);
+  /// Returns `id`'s frame pinned, loading it from the pager on a miss
+  /// (load == true) or zero-filling it (load == false, for Allocate).
+  Result<Frame*> PinFrame(Shard& shard, PageId id, bool load, bool* physical);
+  /// Inserts a pinned frame for `id`, evicting if the shard is full;
+  /// called with the shard mutex held.
+  Result<Frame*> ClaimFrame(Shard& shard, PageId id);
+  /// Moves a frame out of the table onto the spare list; mutex held.
+  void Recycle(Shard& shard, Frame* f);
   Status EvictOne(Shard& shard);
   void Pin(Shard& shard, Frame* f);
   void Unpin(Frame* f, bool dirty);
+  static void LruPushFront(Shard& shard, Frame* f);
+  static void LruRemove(Shard& shard, Frame* f);
   Status WriteBack(Shard& shard, Frame* f);
   void Quarantine(PageId id);
 
@@ -195,8 +228,9 @@ class BufferPool {
 
   /// Pages rejected by checksum verification. Kept out of the sharded
   /// frame tables on purpose: the set is expected to be empty in healthy
-  /// operation, so the hot Fetch path only pays one relaxed atomic load
-  /// (quarantine_nonempty_) before skipping the lookup entirely.
+  /// operation, so a miss only pays one atomic load (quarantine_nonempty_)
+  /// before skipping the lookup entirely. Hits never look: a quarantined
+  /// page has no frame. Lock order: a shard mutex, then quarantine_mu_.
   mutable std::mutex quarantine_mu_;
   std::unordered_set<PageId> quarantined_;
   std::atomic<bool> quarantine_nonempty_{false};

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "core/access_path.h"
 #include "core/point_table.h"
 #include "core/query_engine.h"
+#include "gated_pager.h"
 #include "sdss/catalog.h"
 #include "storage/pager.h"
 
@@ -148,6 +150,119 @@ TEST_F(ConcurrencyTest, ShardedPoolSurvivesConcurrentFetchHammer) {
   EXPECT_EQ(stats.logical_reads, uint64_t{kThreads} * kFetchesPerThread);
   EXPECT_GT(stats.physical_reads, 0u);  // cold pool smaller than the data
   EXPECT_LE(stats.physical_reads, stats.logical_reads);
+}
+
+// --- Misses load outside the shard lock ------------------------------------
+// GatedPager holds one page's read in flight. Every test opens the gate
+// before it asserts or joins, so a regression fails instead of hanging.
+
+constexpr auto kGateBound = std::chrono::seconds(10);
+
+TEST(BufferPoolLoadTest, ConcurrentFetchersOfAColdPageReadItOnce) {
+  MemPager base;
+  ASSERT_TRUE(WriteStampedPages(&base, 4).ok());
+  const PageId kCold = 2;
+  GatedPager pager(&base, kCold);
+  BufferPool pool(&pager, 8);
+
+  constexpr int kThreads = 6;
+  std::vector<int> physical(kThreads, -1);
+  std::vector<Page> bytes(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      bool was_physical = false;
+      auto guard = pool.Fetch(kCold, &was_physical);
+      if (!guard.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      physical[t] = was_physical ? 1 : 0;
+      bytes[t] = guard->page();
+    });
+  }
+  const bool blocked = pager.WaitUntilGatedReadBlocks(kGateBound);
+  // Let the other fetchers queue behind the in-flight load. Any that come
+  // later are plain hits, which every assertion below also allows.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  pager.Open();
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_TRUE(blocked);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(pager.reads(), 1u);
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.physical_reads, 1u);
+  EXPECT_EQ(stats.logical_reads, uint64_t{kThreads});
+  EXPECT_EQ(stats.checksums_verified, 1u);
+  EXPECT_EQ(std::count(physical.begin(), physical.end(), 1), 1);
+  EXPECT_EQ(bytes[0].ReadAt<uint64_t>(0), 1000 + kCold);
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_TRUE(bytes[t].data == bytes[0].data) << "thread " << t;
+  }
+}
+
+TEST(BufferPoolLoadTest, HitsProceedWhileAnotherPageLoads) {
+  MemPager base;
+  ASSERT_TRUE(WriteStampedPages(&base, 4).ok());
+  const PageId kResident = 0, kGated = 1;
+  GatedPager pager(&base, kGated);
+  BufferPool pool(&pager, 8, /*shards=*/1);
+  ASSERT_TRUE(pool.Fetch(kResident).ok());
+
+  std::thread loader([&] { EXPECT_TRUE(pool.Fetch(kGated).ok()); });
+  const bool blocked = pager.WaitUntilGatedReadBlocks(kGateBound);
+  std::promise<bool> hit;
+  std::future<bool> hit_done = hit.get_future();
+  std::thread prober([&] {
+    bool was_physical = true;
+    auto guard = pool.Fetch(kResident, &was_physical);
+    hit.set_value(guard.ok() && !was_physical &&
+                  guard->page().ReadAt<uint64_t>(0) == 1000 + kResident);
+  });
+  const bool finished =
+      hit_done.wait_for(kGateBound) == std::future_status::ready;
+  pager.Open();
+  prober.join();
+  loader.join();
+
+  ASSERT_TRUE(blocked);
+  EXPECT_TRUE(finished) << "a hit waited for another page's read";
+  EXPECT_TRUE(hit_done.get());
+  EXPECT_EQ(pager.reads(), 2u);
+}
+
+TEST(BufferPoolLoadTest, LoadingFrameIsNeverEvicted) {
+  MemPager base;
+  ASSERT_TRUE(WriteStampedPages(&base, 2).ok());
+  const PageId kGated = 0, kOther = 1;
+  GatedPager pager(&base, kGated);
+  BufferPool pool(&pager, 1);
+
+  std::thread loader([&] {
+    auto guard = pool.Fetch(kGated);
+    EXPECT_TRUE(guard.ok());
+    if (guard.ok()) {
+      EXPECT_EQ(guard->page().ReadAt<uint64_t>(0), 1000 + kGated);
+    }
+  });
+  const bool blocked = pager.WaitUntilGatedReadBlocks(kGateBound);
+  std::promise<StatusCode> code;
+  std::future<StatusCode> code_done = code.get_future();
+  std::thread prober(
+      [&] { code.set_value(pool.Fetch(kOther).status().code()); });
+  const bool finished =
+      code_done.wait_for(kGateBound) == std::future_status::ready;
+  pager.Open();
+  prober.join();
+  loader.join();
+
+  ASSERT_TRUE(blocked);
+  ASSERT_TRUE(finished) << "a miss waited for another page's read";
+  EXPECT_EQ(code_done.get(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(pager.reads(), 1u);
+  EXPECT_EQ(pool.resident(), 1u);
 }
 
 TEST_F(ConcurrencyTest, ParallelScannerMatchesSerialScanExactly) {

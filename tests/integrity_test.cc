@@ -6,7 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32c.h"
@@ -15,6 +18,7 @@
 #include "core/index_io.h"
 #include "core/point_table.h"
 #include "core/query_planner.h"
+#include "gated_pager.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_checksum.h"
 #include "storage/pager.h"
@@ -239,6 +243,49 @@ TEST(BufferPoolChecksumTest, CorruptPageQuarantined) {
   EXPECT_EQ(after.physical_reads, before.physical_reads);
   EXPECT_EQ(after.checksum_failures, before.checksum_failures);
   std::remove(path.c_str());
+}
+
+TEST(BufferPoolChecksumTest, ConcurrentFetchersOfACorruptPageShareOneRead) {
+  MemPager base;
+  ASSERT_TRUE(WriteStampedPages(&base, 3).ok());
+  const PageId kBad = 1;
+  Page page;
+  ASSERT_TRUE(base.ReadPage(kBad, &page).ok());
+  page.data[123] ^= 0x10;
+  ASSERT_TRUE(base.WritePage(kBad, page).ok());  // bypasses the stamp
+
+  GatedPager pager(&base, kBad);
+  BufferPool pool(&pager, 8);
+  constexpr int kThreads = 6;
+  std::atomic<int> corrupt{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      if (pool.Fetch(kBad).status().code() == StatusCode::kCorruption) {
+        corrupt.fetch_add(1);
+      }
+    });
+  }
+  const bool blocked =
+      pager.WaitUntilGatedReadBlocks(std::chrono::seconds(10));
+  // Let the other fetchers queue behind the in-flight load. Any that come
+  // later fail out of quarantine, which the assertions below also allow.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  pager.Open();
+  for (auto& thread : threads) thread.join();
+
+  ASSERT_TRUE(blocked);
+  EXPECT_EQ(corrupt.load(), kThreads);
+  EXPECT_EQ(pager.reads(), 1u);
+  EXPECT_EQ(pool.quarantined_count(), 1u);
+  const BufferPoolStats stats = pool.stats();
+  EXPECT_EQ(stats.checksum_failures, 1u);
+  EXPECT_EQ(stats.physical_reads, 1u);
+  EXPECT_EQ(pool.resident(), 0u);  // no loading frame left behind
+  // The failed frame is recycled cleanly: a good page still loads.
+  auto good = pool.Fetch(0);
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(good->page().ReadAt<uint64_t>(0), 1000u);
 }
 
 TEST(BufferPoolChecksumTest, VerifyDisabledSkipsBoth) {
