@@ -180,13 +180,16 @@ int Walkthrough(uint16_t port) {
   }
   // Non-empty only when the far end is an mdsc coordinator: per-shard
   // routing counters (the server-smoke failover phase greps these).
+  // `requests` counts legs sent; `pruned` counts requests whose answer
+  // the shard's routing box ruled out, so no leg went to it.
   for (size_t s = 0; s < stats->shards.size(); ++s) {
     const auto& shard = stats->shards[s];
     std::printf("shard %zu: %u/%u replicas healthy, %llu requests, "
-                "failovers=%llu hedges=%llu/%llu errors=%llu "
+                "pruned=%llu failovers=%llu hedges=%llu/%llu errors=%llu "
                 "p50=%lluus p99=%lluus\n",
                 s, shard.healthy_replicas, shard.replicas,
                 (unsigned long long)shard.requests,
+                (unsigned long long)shard.pruned,
                 (unsigned long long)shard.failovers,
                 (unsigned long long)shard.hedges_won,
                 (unsigned long long)shard.hedges_fired,
@@ -201,6 +204,10 @@ int Walkthrough(uint16_t port) {
                   (unsigned long long)shard.retries_denied,
                   (unsigned long long)shard.breaker_short_circuits);
     }
+  }
+  if (!stats->shards.empty()) {
+    std::printf("knn second waves: %llu\n",
+                (unsigned long long)stats->knn_second_waves);
   }
   if (stats->partial_replies > 0) {
     std::printf("partial replies served: %llu\n",

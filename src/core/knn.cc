@@ -16,21 +16,18 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// dispatch, small enough that the d2 scratch stays in L1.
 constexpr size_t kDistChunk = 256;
 
-// Max-heap ordering on squared distance.
-struct HeapLess {
-  bool operator()(const Neighbor& a, const Neighbor& b) const {
-    return a.squared_distance < b.squared_distance;
-  }
-};
-
+// The result heap is a max-heap in Neighbor order, (squared_distance, id),
+// so the k kept are the first k of that order whatever order rows arrive
+// in: a tie at the k-th distance keeps the lowest id on every engine (and
+// on every shard, which is what lets mdsc's merge equal one server).
 void HeapInsert(std::vector<Neighbor>* heap, size_t k, Neighbor n) {
   if (heap->size() < k) {
     heap->push_back(n);
-    std::push_heap(heap->begin(), heap->end(), HeapLess{});
-  } else if (n.squared_distance < heap->front().squared_distance) {
-    std::pop_heap(heap->begin(), heap->end(), HeapLess{});
+    std::push_heap(heap->begin(), heap->end());
+  } else if (n < heap->front()) {
+    std::pop_heap(heap->begin(), heap->end());
     heap->back() = n;
-    std::push_heap(heap->begin(), heap->end(), HeapLess{});
+    std::push_heap(heap->begin(), heap->end());
   }
 }
 
@@ -51,8 +48,7 @@ std::vector<Neighbor> KdKnnSearcher::BruteForce(const double* p, size_t k,
   std::vector<Neighbor> heap;
   heap.reserve(k + 1);
   // Chunked over the contiguous row store: the kernel fills d2 for a block
-  // of rows, the heap consumes them in the original order, so insert order
-  // (and therefore tie resolution) matches the row-at-a-time loop exactly.
+  // of rows, and the heap consumes them in the original order.
   double d2[kDistChunk];
   const size_t n = points.size();
   for (uint64_t base = 0; base < n; base += kDistChunk) {
@@ -84,8 +80,7 @@ void KdKnnSearcher::ScanLeaf(uint32_t ordinal, const double* p, size_t k,
     stats->top_k_pruned += f;
   }
   // The leaf's rows are contiguous in clustered order; gather-kernel their
-  // distances a chunk at a time, then feed the heap in the original order
-  // so tie resolution is identical to the row-at-a-time loop.
+  // distances a chunk at a time, then feed the heap.
   double d2[kDistChunk];
   for (uint64_t r = leaf.row_begin; r < leaf.row_end; r += kDistChunk) {
     const size_t len =
@@ -112,7 +107,8 @@ std::vector<Neighbor> KdKnnSearcher::BestFirst(const double* p, size_t k,
   while (!pq.empty()) {
     auto [d2, idx] = pq.top();
     pq.pop();
-    if (d2 >= CurrentBound(heap, k)) break;
+    // A node exactly at the bound may hold a tie with a lower id.
+    if (d2 > CurrentBound(heap, k)) break;
     const KdTreeIndex::Node& node = nodes[idx];
     if (node.split_dim < 0) {
       uint32_t ordinal = node.first_leaf;
@@ -177,7 +173,7 @@ std::vector<Neighbor> KdKnnSearcher::BoundaryGrow(const double* p, size_t k,
 
   // Frontier of candidate leaves ordered by their region's distance to p —
   // the "index list" of §3.3. A leaf enters the list when it lies across a
-  // boundary point b of the explored region with dist(p, b) below the
+  // boundary point b of the explored region with dist(p, b) at most the
   // current k-th distance m.
   using Entry = std::pair<double, uint32_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
@@ -207,14 +203,14 @@ std::vector<Neighbor> KdKnnSearcher::BoundaryGrow(const double* p, size_t k,
         b[j] = plane;
         if (stats != nullptr) ++stats->boundary_points_checked;
         double face_d2 = SquaredDistance(p, b.data(), d);
-        if (face_d2 >= CurrentBound(heap, k)) continue;
+        if (face_d2 > CurrentBound(heap, k)) continue;
         adjacent.clear();
         CollectFaceNeighbors(*index_, region, j, positive, plane, &adjacent);
         for (uint32_t nb : adjacent) {
           if (explored[nb] || queued[nb]) continue;
           const Box& nb_region = index_->leaf(nb).region;
           double d2 = nb_region.MinSquaredDistance(p);
-          if (d2 >= CurrentBound(heap, k)) continue;
+          if (d2 > CurrentBound(heap, k)) continue;
           queued[nb] = 1;
           frontier.emplace(d2, nb);
         }
@@ -230,7 +226,7 @@ std::vector<Neighbor> KdKnnSearcher::BoundaryGrow(const double* p, size_t k,
   while (!frontier.empty()) {
     auto [d2, ordinal] = frontier.top();
     frontier.pop();
-    if (d2 >= CurrentBound(heap, k)) break;
+    if (d2 > CurrentBound(heap, k)) break;
     if (explored[ordinal]) continue;
     explored[ordinal] = 1;
     if (stats != nullptr) ++stats->rounds;

@@ -38,14 +38,18 @@ struct KnnStats {
 ///  * BoundaryGrow     — the paper's algorithm: grow the explored region
 ///                       around p leaf-box by leaf-box, maintaining the
 ///                       result list; a leaf across a boundary point b is
-///                       examined only while dist(p, b) < m, the current
+///                       examined only while dist(p, b) <= m, the current
 ///                       k-th distance, and its scan is bounded by the
 ///                       TOP(k - f) refinement.
+///
+/// All three return the first k rows in Neighbor order, (squared_distance,
+/// id): a tie at the k-th distance keeps the lowest ids, so the answer
+/// does not depend on the order an engine visits rows in.
 class KdKnnSearcher {
  public:
   explicit KdKnnSearcher(const KdTreeIndex* index) : index_(index) {}
 
-  /// Exact k nearest neighbors of `p` (ascending distance).
+  /// Exact k nearest neighbors of `p` (ascending (distance, id)).
   std::vector<Neighbor> BruteForce(const double* p, size_t k,
                                    KnnStats* stats = nullptr) const;
   std::vector<Neighbor> BestFirst(const double* p, size_t k,
@@ -59,7 +63,7 @@ class KdKnnSearcher {
 
  private:
   /// Scans leaf `ordinal`, merging its points into the running result heap
-  /// (max-heap on squared distance, capped at k). `lower_bound_sq` is a
+  /// (max-heap in Neighbor order, capped at k). `lower_bound_sq` is a
   /// proven lower bound on the distance of every point in the leaf, used
   /// for the paper's TOP(k - f) refinement accounting.
   void ScanLeaf(uint32_t ordinal, const double* p, size_t k,

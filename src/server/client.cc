@@ -372,6 +372,7 @@ Result<QueryClient::HealthResult> QueryClient::Health(const Options& options) {
       decoded.draining != 0 || (header.flags & protocol::kFlagDraining) != 0;
   out.served_rows = decoded.served_rows;
   out.dim = decoded.dim;
+  out.routing_box = std::move(decoded.routing_box);
   return out;
 }
 

@@ -81,6 +81,9 @@ class QueryClient {
     bool draining = false;
     uint64_t served_rows = 0;
     uint32_t dim = 0;
+    /// The server's routing box (unknown from a coordinator, an older
+    /// server, or a dataset with non-finite rows).
+    protocol::RoutingBox routing_box;
   };
 
   /// Connects to an mdsd instance (numeric IPv4 host).

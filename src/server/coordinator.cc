@@ -1,10 +1,10 @@
 #include "server/coordinator.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <random>
 #include <utility>
-
-#include "geom/box.h"
 
 namespace mds {
 
@@ -69,6 +69,18 @@ ServerConfig FrontEndConfig(const CoordinatorConfig& config) {
   front.pipeline_batch_max = 1;
   return front;
 }
+
+/// A backend's published routing box, or nullopt when it sent none (or
+/// one of the wrong dimension).
+std::optional<Box> ShardBox(const protocol::RoutingBox& wire, uint32_t dim) {
+  if (!wire.known() || wire.lo.size() != dim) return std::nullopt;
+  return Box(wire.lo, wire.hi);
+}
+
+/// Relative slack on the wave-two bound: MINDIST² and a backend's d2 sum
+/// their per-axis squares in different orders, so a row exactly at the
+/// bound may compute a few ulps below its shard's MINDIST².
+constexpr double kWaveTwoSlack = 1e-9;
 
 protocol::QueryReply FromClientResult(QueryClient::QueryResult result) {
   protocol::QueryReply out;
@@ -236,6 +248,7 @@ Coordinator::Coordinator(const ShardMap& map, const CoordinatorConfig& config)
     }
     shards_.push_back(std::move(shard));
   }
+  routing_ = std::make_shared<const Routing>(shards_.size());
 }
 
 Coordinator::~Coordinator() { Shutdown(); }
@@ -260,6 +273,7 @@ Status Coordinator::Start() {
   probe.deadline_ms = config_.sub_deadline_ms;
   served_rows_ = 0;
   dim_ = 0;
+  auto routing = std::make_shared<Routing>(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard* shard = shards_[s].get();
     Status last = Status::Unavailable("no replica probed");
@@ -284,6 +298,7 @@ Status Coordinator::Start() {
             "Coordinator: shard " + std::to_string(s) + " serves dimension " +
             std::to_string(health->dim) + ", expected " + std::to_string(dim_));
       }
+      (*routing)[s] = ShardBox(health->routing_box, dim_);
       ReleaseClient(replica.get(), std::move(*client));
       probed = true;
       break;
@@ -294,6 +309,7 @@ Status Coordinator::Start() {
     }
     served_rows_ += shard->served_rows;
   }
+  SetRouting(std::move(routing));
 
   legs_ = std::make_unique<TaskPool>(leg_threads_);
   legs_->Submit([] {});  // start every leg thread now, like the front end
@@ -348,6 +364,10 @@ void Coordinator::HandleReload(const Request& req) {
   // One fleet reload at a time: concurrent broadcasts would interleave
   // their swaps across replicas.
   std::lock_guard<std::mutex> lock(reload_mu_);
+  // Backends swap one by one, so no box is trustworthy until every one
+  // has answered: scatters started from here on contact every shard.
+  SetRouting(std::make_shared<const Routing>(shards_.size()));
+  auto routing = std::make_shared<Routing>(shards_.size());
 
   QueryOptions options;
   options.deadline_ms = req.deadline_ms;  // 0 = the client's long default
@@ -362,6 +382,7 @@ void Coordinator::HandleReload(const Request& req) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard* shard = shards_[s].get();
     uint64_t shard_rows = 0;
+    std::optional<Box>& shard_box = (*routing)[s];
     for (size_t i = 0; i < shard->replicas.size(); ++i) {
       Replica* replica = shard->replicas[i].get();
       Status failed = Status::OK();
@@ -377,6 +398,17 @@ void Coordinator::HandleReload(const Request& req) {
           merged.old_epoch = std::min(merged.old_epoch, reply->old_epoch);
           merged.new_epoch = std::min(merged.new_epoch, reply->new_epoch);
           shard_rows = reply->served_rows;
+          // The shard's box covers every replica's rows; one replica
+          // without a box leaves the shard unknown.
+          const std::optional<Box> box = ShardBox(reply->routing_box, dim_);
+          if (i == 0) {
+            shard_box = box;
+          } else if (shard_box && box) {
+            shard_box->Extend(box->lo().data());
+            shard_box->Extend(box->hi().data());
+          } else {
+            shard_box.reset();
+          }
         }
       }
       if (!failed.ok()) {
@@ -391,6 +423,7 @@ void Coordinator::HandleReload(const Request& req) {
     merged.served_rows += shard_rows;
   }
   served_rows_.store(merged.served_rows);
+  SetRouting(std::move(routing));
 
   front_.Complete(
       req, Status::OK(), 0, /*cacheable_reply=*/false,
@@ -484,12 +517,79 @@ void Coordinator::StartScatter(Request client) {
     }
   }
 
-  // Every call is set up before the first attempt can complete one.
+  // Every call is set up before the first attempt can complete one: the
+  // first wave's calls open, every other call pre-completed as skipped.
   // Attempts are bounded by the sub-request deadline (plus the client's
   // exchange slack), so every call completes in bounded time.
-  for (ShardCall& call : scatter->calls) call.outstanding = 1;
+  const std::vector<size_t> wave = FirstWave(*routing(), scatter.get());
+  for (ShardCall& call : scatter->calls) {
+    call.done = true;
+    call.skipped = true;
+  }
+  for (size_t s : wave) {
+    scatter->calls[s].done = false;
+    scatter->calls[s].skipped = false;
+    scatter->calls[s].outstanding = 1;
+  }
+  scatter->done_count = scatter->calls.size() - wave.size();
+  StartLegs(scatter, wave);
+}
+
+std::vector<size_t> Coordinator::FirstWave(const Routing& routing,
+                                           Scatter* scatter) {
+  const SubRequest& req = scatter->req;
+  if (req.type == MessageType::kKnn) {
+    // An unknown box bounds nothing: MINDIST² 0 keeps its shard in reach
+    // of every bound.
+    scatter->mindist2.resize(routing.size());
+    size_t nearest = 0;
+    for (size_t s = 0; s < routing.size(); ++s) {
+      scatter->mindist2[s] =
+          routing[s] ? routing[s]->MinSquaredDistance(req.point.data()) : 0.0;
+      if (scatter->mindist2[s] < scatter->mindist2[nearest]) nearest = s;
+    }
+    scatter->wave_one = nearest;
+    return {nearest};
+  }
+  const Box query(req.lo, req.hi);
+  std::vector<size_t> wave;
+  for (size_t s = 0; s < routing.size(); ++s) {
+    if (!routing[s] || routing[s]->Intersects(query)) wave.push_back(s);
+  }
+  // A box no shard meets still gets an answer from some mdsd (a count of
+  // 0, a Status for a bad limit), so the reply is shaped like one.
+  if (wave.empty()) wave.push_back(0);
+  return wave;
+}
+
+std::vector<size_t> Coordinator::OpenSecondWave(Scatter* scatter) {
+  const SubRequest& req = scatter->req;
+  const ShardCall& first = scatter->calls[scatter->wave_one];
+  scatter->wave_one = kNoShard;
+  // m: the wave-one k-th d2. No bound without k rows from it (too few
+  // rows, or it failed), and none from a NaN distance.
+  double bound = std::numeric_limits<double>::infinity();
+  if (first.status.ok() && first.reply.neighbors.size() >= req.k) {
+    const double m = first.reply.neighbors[req.k - 1].squared_distance;
+    if (!std::isnan(m)) bound = m * (1.0 + kWaveTwoSlack);
+  }
+  std::vector<size_t> wave;
+  for (size_t s = 0; s < scatter->calls.size(); ++s) {
+    ShardCall& call = scatter->calls[s];
+    if (!call.skipped || scatter->mindist2[s] > bound) continue;
+    call.done = false;
+    call.skipped = false;
+    call.outstanding = 1;
+    --scatter->done_count;
+    wave.push_back(s);
+  }
+  return wave;
+}
+
+void Coordinator::StartLegs(const std::shared_ptr<Scatter>& scatter,
+                            const std::vector<size_t>& shards) {
   const auto now = std::chrono::steady_clock::now();
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s : shards) {
     legs_->Submit([this, scatter, s] { RunAttempt(scatter, s, false); });
     // The hedge timer waits in the leg pool's timed queue, holding no
     // thread.
@@ -499,6 +599,16 @@ void Coordinator::StartScatter(Request client) {
                       [this, scatter, s] { MaybeHedge(scatter, s); });
     }
   }
+}
+
+std::shared_ptr<const Coordinator::Routing> Coordinator::routing() const {
+  std::lock_guard<std::mutex> lock(routing_mu_);
+  return routing_;
+}
+
+void Coordinator::SetRouting(std::shared_ptr<const Routing> routing) {
+  std::lock_guard<std::mutex> lock(routing_mu_);
+  routing_ = std::move(routing);
 }
 
 void Coordinator::MaybeHedge(const std::shared_ptr<Scatter>& scatter,
@@ -535,6 +645,13 @@ void Coordinator::FinishScatter(Scatter* scatter) {
     outcome.total = static_cast<uint32_t>(scatter->calls.size());
     for (size_t s = 0; s < scatter->calls.size(); ++s) {
       ShardCall& call = scatter->calls[s];
+      if (call.skipped) {
+        // No row of the shard can be in the answer: it answered "nothing".
+        shards_[s]->pruned.fetch_add(1, std::memory_order_relaxed);
+        ++outcome.answered;
+        if (s < 64) outcome.mask |= 1ull << s;
+        continue;
+      }
       if (!call.status.ok()) {
         // A failed shard fails the request unless the client opted into a
         // partial answer (below) — half a scatter is not a correct answer
@@ -711,6 +828,7 @@ void Coordinator::RunAttempt(const std::shared_ptr<Scatter>& scatter,
     }
   }
 
+  std::vector<size_t> second_wave;
   {
     std::lock_guard<std::mutex> lock(scatter->mu);
     ShardCall& call = scatter->calls[call_index];
@@ -735,7 +853,17 @@ void Coordinator::RunAttempt(const std::shared_ptr<Scatter>& scatter,
       // the replicas, so a hedge could only repeat what just failed.
     }
     call.done = true;
-    if (++scatter->done_count < scatter->calls.size()) return;
+    if (call_index == scatter->wave_one) {
+      second_wave = OpenSecondWave(scatter.get());
+    }
+    if (++scatter->done_count < scatter->calls.size() && second_wave.empty()) {
+      return;
+    }
+  }
+  if (!second_wave.empty()) {
+    knn_second_waves_.fetch_add(1, std::memory_order_relaxed);
+    StartLegs(scatter, second_wave);
+    return;
   }
   // This attempt completed the last call: merge and reply.
   FinishScatter(scatter.get());
@@ -963,6 +1091,7 @@ bool Coordinator::HedgeDelay(const Shard& shard,
 void Coordinator::AddStats(protocol::ServerStatsSnapshot* out) const {
   out->deadline_timeouts += leg_timeouts_.load(std::memory_order_relaxed);
   out->partial_replies = partial_replies_.load(std::memory_order_relaxed);
+  out->knn_second_waves = knn_second_waves_.load(std::memory_order_relaxed);
   out->shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     protocol::ShardStatsEntry entry;
@@ -990,6 +1119,7 @@ void Coordinator::AddStats(protocol::ServerStatsSnapshot* out) const {
     entry.retries_denied = shard->retries_denied.load(std::memory_order_relaxed);
     entry.breaker_short_circuits =
         shard->breaker_short_circuits.load(std::memory_order_relaxed);
+    entry.pruned = shard->pruned.load(std::memory_order_relaxed);
     const Histogram::Snapshot snap = shard->latency_us.TakeSnapshot();
     entry.p50_us = snap.ValueAtPercentile(50);
     entry.p99_us = snap.ValueAtPercentile(99);

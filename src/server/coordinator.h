@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "geom/box.h"
 #include "server/client.h"
 #include "server/front_end.h"
 #include "server/protocol.h"
@@ -130,28 +132,50 @@ protocol::QueryReply MergeQueryReplies(
 // ---------------------------------------------------------------------------
 
 /// mdsc — the shard coordinator: a server-shaped front end that speaks the
-/// exact mdsd wire protocol to its clients and fans every query out to N
-/// backend shards (each possibly replicated) over pooled QueryClient
-/// connections, merging the replies.
+/// exact mdsd wire protocol to its clients and fans each query out to
+/// the backend shards (each possibly replicated) that can hold part of
+/// its answer, over pooled QueryClient connections, merging the replies.
 ///
 /// Routing and merge semantics (DESIGN.md "Scale-out"):
-///  - kPointCount / kBoxQuery: scatter to every shard unchanged (the limit
-///    included — each shard's contribution to a TOP(limit) is at most
-///    limit rows); counts sum, objids concatenate in shard order.
-///  - kKnn: per-shard k_i = min(k, shard rows); replies k-way merge by
+///  - Every mdsd publishes its routing box (protocol::RoutingBox: the
+///    tight bounding box of its rows, sent only when they are all
+///    finite) on Health and Reload replies. The coordinator keeps one
+///    immutable snapshot of the boxes, a box or "unknown" per shard, and
+///    every scatter routes on the snapshot it read when it started.
+///  - kPointCount / kBoxQuery / kTableSample: legs go only to shards
+///    whose box meets the query box or is unknown (at least one shard:
+///    the lowest index when none meets it). A shard with no row in the
+///    box adds nothing to any of these replies, so skipping it is exact.
+///    The limit goes to every leg unchanged (each shard's contribution to
+///    a TOP(limit) is at most limit rows); counts sum, objids concatenate
+///    in shard order.
+///  - kKnn: per-shard k_i = min(k, shard rows), in two waves. Wave one
+///    asks the shard with the least MINDIST² from the probe to its box
+///    (an unknown box counts as 0; lowest index on ties). Its reply's
+///    k-th d2, m (+inf when it returned fewer than k rows or failed),
+///    bounds the rest: wave two asks every other shard whose MINDIST² <=
+///    m·(1 + 1e-9), the paper's §3.3 pruning across machines. A shard
+///    beyond the bound holds no row at d2 <= m, so it cannot displace a
+///    (d2, id) of the global top k. The replies k-way merge by
 ///    (squared_distance, id). k > total served rows is InvalidArgument,
 ///    exactly like a single server.
-///  - kTableSample: scatter unchanged, concatenate, truncate to n. Page
-///    sampling is physical-layout-dependent, so the sampled rows match a
-///    single server's distribution and determinism (same seed => same
-///    reply through the same topology) but not its exact row set.
+///  - A skipped shard's call is pre-completed: it counts as answered in
+///    shards_answered/shards_mask with zero I/O counters, adds nothing to
+///    chosen_path, gets no hedge timer and counts one `pruned`.
+///  - kTableSample: page sampling is physical-layout-dependent, so the
+///    sampled rows match a single server's distribution and determinism
+///    (same seed => same reply through the same topology) but not its
+///    exact row set. The merge concatenates and truncates to n.
 ///  - kHealth / kStats: answered by the coordinator itself; stats carry
 ///    per-shard routing counters (ShardStatsEntry).
 ///  - kReload: broadcast to EVERY replica of EVERY shard (a fleet where
 ///    only some replicas swapped would answer the same query differently
 ///    depending on routing); all must succeed or the reload fails with
-///    the first refusal. The merged reply carries the min old/new epochs
-///    over the fleet and the summed per-shard served_rows.
+///    the first refusal. Every box is "unknown" while the broadcast runs
+///    and after a failed one; a successful one installs the boxes of the
+///    replies (per shard, the union over its replicas). The merged reply
+///    carries the min old/new epochs over the fleet and the summed
+///    per-shard served_rows.
 ///
 /// Failover: replicas are tried in preference order; an attempt that
 /// fails with a retryable transport-or-shed status (kUnavailable, kIOError,
@@ -190,9 +214,10 @@ class Coordinator : private FrontEnd::Backend {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Probes every shard (first reachable replica wins), validates that
-  /// dimensions agree across shards, binds the port and starts the front
-  /// end and the leg pool. Fails if any shard has no reachable replica.
+  /// Probes every shard (first reachable replica wins, and its routing
+  /// box becomes the shard's), validates that dimensions agree across
+  /// shards, binds the port and starts the front end and the leg pool.
+  /// Fails if any shard has no reachable replica.
   Status Start();
 
   /// Bound port (valid after Start).
@@ -252,6 +277,7 @@ class Coordinator : private FrontEnd::Backend {
     std::atomic<uint64_t> hedges_won{0};
     std::atomic<uint64_t> retries_denied{0};
     std::atomic<uint64_t> breaker_short_circuits{0};
+    std::atomic<uint64_t> pruned{0};  ///< scatters that skipped this shard
     std::atomic<int64_t> retry_budget_milli{0};  // filled by the ctor
     Histogram latency_us;  // successful sub-request round trips
   };
@@ -286,11 +312,18 @@ class Coordinator : private FrontEnd::Backend {
     std::vector<protocol::WireNeighbor> neighbors;  // kKnn
   };
 
+  /// The routing snapshot: per shard, its box or nullopt ("unknown",
+  /// always contacted). Immutable once published; swapped whole.
+  using Routing = std::vector<std::optional<Box>>;
+
   /// Per-shard slot of one fan-out: attempt jobs complete it under mu.
   struct ShardCall {
     Status status = Status::OK();
     SubReply reply;
     bool done = false;     ///< a success landed, or every attempt failed
+    /// Pre-completed without a leg: the routing box rules the shard out
+    /// (a kNN wave two may still reopen it).
+    bool skipped = false;
     int outstanding = 0;   ///< attempts still running
     /// Clients with an exchange in flight for this call, registered under
     /// Scatter::mu. Whichever attempt completes the call Abort()s the
@@ -306,10 +339,16 @@ class Coordinator : private FrontEnd::Backend {
     Request client;                 ///< the request being answered
     SubRequest req;                 ///< immutable once the legs start
     std::vector<uint32_t> shard_k;  ///< per-shard kNN k (clamped to rows)
+    /// kNN: per-shard MINDIST² from the probe to the shard's box, and the
+    /// wave-one shard whose completion opens wave two (kNoShard once it
+    /// has, and for every other type).
+    std::vector<double> mindist2;
+    size_t wave_one = kNoShard;
     std::mutex mu;
     std::vector<ShardCall> calls;
     size_t done_count = 0;
   };
+  static constexpr size_t kNoShard = ~size_t{0};
 
   // --- FrontEnd::Backend ---------------------------------------------------
   void Bind(Request*) const override {}
@@ -321,7 +360,8 @@ class Coordinator : private FrontEnd::Backend {
   bool ExecutesInline() const override { return true; }
 
   /// Broadcasts a kReload to every replica of every shard; on success
-  /// re-stamps the per-shard and total served_rows.
+  /// re-stamps the per-shard and total served_rows and installs the
+  /// replies' routing boxes (every box is unknown meanwhile).
   void HandleReload(const Request& req);
 
   /// Decodes and validates the request body into a SubRequest template
@@ -338,10 +378,23 @@ class Coordinator : private FrontEnd::Backend {
     bool partial = false;    ///< answered < total and the reply is usable
   };
 
-  /// Decodes and validates one query request, then submits one attempt
-  /// per shard to the leg pool and a timed hedge check per shard that may
-  /// hedge. Returns at once.
+  /// Decodes and validates one query request, routes it on the current
+  /// routing snapshot, pre-completes the skipped shards' calls and starts
+  /// the rest (StartLegs). Returns at once.
   void StartScatter(Request client);
+  /// The first wave's shards (ascending): for box-like types every shard
+  /// whose box meets the query box, for kNN the nearest shard (filling
+  /// scatter->mindist2 and wave_one).
+  static std::vector<size_t> FirstWave(const Routing& routing,
+                                       Scatter* scatter);
+  /// Under scatter->mu, when the wave-one call completes: reopens every
+  /// skipped call within the wave-one k-th distance and returns them.
+  static std::vector<size_t> OpenSecondWave(Scatter* scatter);
+  /// Submits one attempt per listed shard to the leg pool, plus a timed
+  /// hedge check for each shard that may hedge. Their calls must already
+  /// be open (outstanding = 1).
+  void StartLegs(const std::shared_ptr<Scatter>& scatter,
+                 const std::vector<size_t>& shards);
   /// Hedge timer: on expiry, while the shard's call is still open, starts
   /// a second attempt on the next replica (first success wins).
   void MaybeHedge(const std::shared_ptr<Scatter>& scatter, size_t shard);
@@ -394,8 +447,14 @@ class Coordinator : private FrontEnd::Backend {
   /// (single replica, or adaptive mode without enough samples).
   bool HedgeDelay(const Shard& shard, std::chrono::microseconds* delay) const;
 
+  /// The current routing snapshot (I/O thread reads, leg threads swap).
+  std::shared_ptr<const Routing> routing() const;
+  void SetRouting(std::shared_ptr<const Routing> routing);
+
   CoordinatorConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex routing_mu_;
+  std::shared_ptr<const Routing> routing_;  // guarded by routing_mu_
   std::atomic<uint64_t> served_rows_{0};
   uint32_t dim_ = 0;
   /// Serializes whole-fleet reload broadcasts (mirrors QueryServer's
@@ -408,6 +467,8 @@ class Coordinator : private FrontEnd::Backend {
   std::atomic<uint64_t> leg_timeouts_{0};
   /// Replies answered from a strict subset of shards (kFlagPartial).
   std::atomic<uint64_t> partial_replies_{0};
+  /// kNN scatters whose wave one reopened at least one other shard.
+  std::atomic<uint64_t> knn_second_waves_{0};
 
   /// Backoff jitter source (common/rng.h is not thread-safe; attempts on
   /// many leg threads mark failures concurrently).

@@ -51,6 +51,20 @@ Result<uint32_t> ShardSubtreeNode(const KdTreeIndex& tree,
   return (1u << level) - 1 + shard_index;
 }
 
+/// The dataset's routing box: its tree's tight root bounds when every
+/// coordinate of every row the tree covers is finite.
+std::optional<Box> RoutingBoxOf(const KdTreeIndex& tree,
+                                const PointSet& points) {
+  if (tree.num_points() == 0) return std::nullopt;
+  for (uint64_t id : tree.clustered_order()) {
+    const float* p = points.point(id);
+    for (size_t j = 0; j < points.dim(); ++j) {
+      if (!std::isfinite(p[j])) return std::nullopt;
+    }
+  }
+  return tree.root().bounds;
+}
+
 }  // namespace
 
 Result<ServedDataset> ServedDataset::Build(const DatasetConfig& config) {
@@ -87,6 +101,7 @@ Result<ServedDataset> ServedDataset::Build(const DatasetConfig& config) {
   ds.seed_ = config.seed;
   ds.source_ = "synthetic seed=" + std::to_string(config.seed) +
                " rows=" + std::to_string(config.num_rows);
+  ds.routing_box_ = RoutingBoxOf(*ds.tree_, ds.points());
   return ds;
 }
 
@@ -166,6 +181,7 @@ Result<ServedDataset> ServedDataset::Load(const std::string& path,
   ds.binding_ = BindPointTable(ds.table_.get(), manifest->dim);
   ds.seed_ = manifest->seed;
   ds.source_ = "file:" + path;
+  ds.routing_box_ = RoutingBoxOf(*ds.tree_, ds.points());
   return ds;
 }
 

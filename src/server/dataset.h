@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -93,6 +94,13 @@ class ServedDataset {
   /// True when pages are served from an mmap mapping (Load with mmap).
   bool mmap_backed() const { return mmap_backed_; }
 
+  /// The routing box an mdsc coordinator prunes by: the tight bounding box
+  /// of this dataset's rows (tree().root().bounds), or nullopt when a row
+  /// has a NaN or infinite coordinate (a box full scan counts a NaN row as
+  /// inside any box, so no box would bound the answers) or there are no
+  /// rows. Checked once, at Build or Load.
+  const std::optional<Box>& routing_box() const { return routing_box_; }
+
   /// Monotonically increasing dataset generation, starting at 1. The
   /// serving layer keys memoized replies by it (server/response_cache.h):
   /// bumping the epoch invalidates every cached reply with one atomic
@@ -128,6 +136,7 @@ class ServedDataset {
   uint64_t seed_ = 0;
   std::string source_;
   bool mmap_backed_ = false;
+  std::optional<Box> routing_box_;
   // Shared (not unique) so a successor dataset can adopt the counter and
   // the epoch sequence survives hot swaps; heap-allocated so the dataset
   // stays movable (Result<ServedDataset>).

@@ -280,6 +280,13 @@ void EncodeServerStats(const ServerStatsSnapshot& stats, WireWriter* w) {
   w->PutU64(stats.slab_recycles);
   w->PutU64(stats.slab_bytes_in_use);
   w->PutU64(stats.reply_tail_copies);
+  // The routing tail: only a coordinator that has pruned writes it, so a
+  // plain mdsd's stats body keeps its layout byte for byte.
+  bool routed = stats.knn_second_waves != 0;
+  for (const ShardStatsEntry& s : stats.shards) routed |= s.pruned != 0;
+  if (!routed) return;
+  w->PutU64(stats.knn_second_waves);
+  for (const ShardStatsEntry& s : stats.shards) w->PutU64(s.pruned);
 }
 
 Status DecodeServerStats(WireReader* r, ServerStatsSnapshot* stats) {
@@ -353,20 +360,46 @@ Status DecodeServerStats(WireReader* r, ServerStatsSnapshot* stats) {
   if (r->ok() && r->remaining() >= 8) {
     stats->reply_tail_copies = r->GetU64();
   }
+  if (r->ok() && r->remaining() >= 8 * (1 + stats->shards.size())) {
+    stats->knn_second_waves = r->GetU64();
+    for (ShardStatsEntry& s : stats->shards) s.pruned = r->GetU64();
+  }
   return r->status();
+}
+
+void EncodeRoutingBox(const RoutingBox& box, WireWriter* w) {
+  if (!box.known()) return;
+  EncodeCoords(box.lo, w);
+  EncodeCoords(box.hi, w);
+}
+
+Status DecodeRoutingBox(WireReader* r, RoutingBox* box) {
+  *box = RoutingBox{};
+  if (!r->ok() || r->remaining() == 0) return r->status();
+  MDS_RETURN_NOT_OK(DecodeCoords(r, &box->lo));
+  MDS_RETURN_NOT_OK(DecodeCoords(r, &box->hi));
+  Status valid = ValidateBoxBounds(box->lo, box->hi);
+  for (size_t j = 0; valid.ok() && j < box->lo.size(); ++j) {
+    if (!std::isfinite(box->lo[j]) || !std::isfinite(box->hi[j])) {
+      valid = Status::InvalidArgument("protocol: routing box is not finite");
+    }
+  }
+  if (!valid.ok()) *box = RoutingBox{};
+  return valid;
 }
 
 void EncodeHealthReply(const HealthReply& reply, WireWriter* w) {
   w->PutU8(reply.draining);
   w->PutU64(reply.served_rows);
   w->PutU32(reply.dim);
+  EncodeRoutingBox(reply.routing_box, w);
 }
 
 Status DecodeHealthReply(WireReader* r, HealthReply* reply) {
   reply->draining = r->GetU8();
   reply->served_rows = r->GetU64();
   reply->dim = r->GetU32();
-  return r->status();
+  return DecodeRoutingBox(r, &reply->routing_box);
 }
 
 void EncodeReloadRequest(const ReloadRequest& req, WireWriter* w) {
@@ -386,13 +419,14 @@ void EncodeReloadReply(const ReloadReply& reply, WireWriter* w) {
   w->PutU64(reply.old_epoch);
   w->PutU64(reply.new_epoch);
   w->PutU64(reply.served_rows);
+  EncodeRoutingBox(reply.routing_box, w);
 }
 
 Status DecodeReloadReply(WireReader* r, ReloadReply* reply) {
   reply->old_epoch = r->GetU64();
   reply->new_epoch = r->GetU64();
   reply->served_rows = r->GetU64();
-  return r->status();
+  return DecodeRoutingBox(r, &reply->routing_box);
 }
 
 Status CheckQueryDimension(size_t query_dim, size_t served_dim) {

@@ -210,6 +210,10 @@ struct ShardStatsEntry {
   uint32_t half_open_breakers = 0;  ///< breakers admitting a single probe
   uint64_t retries_denied = 0;      ///< failovers/hedges denied by the retry budget
   uint64_t breaker_short_circuits = 0;  ///< attempts skipped on an open breaker
+  /// Requests for which the shard was skipped because its routing box
+  /// cannot hold an answer row (carried in the routing tail of the stats
+  /// body, not in this entry's fixed 88 bytes).
+  uint64_t pruned = 0;
 };
 /// Decode-side cap on the shard list length (hostile-length guard).
 inline constexpr uint32_t kMaxShardStats = 4096;
@@ -256,6 +260,19 @@ struct ServerStatsSnapshot {
   uint64_t slab_recycles = 0;
   uint64_t slab_bytes_in_use = 0;
   uint64_t reply_tail_copies = 0;
+  /// Routing tail (coordinator only): kNN requests whose first wave
+  /// reopened at least one other shard. Written, together with every
+  /// shard's `pruned`, only when one of them is non-zero.
+  uint64_t knn_second_waves = 0;
+};
+
+/// A shard's routing box: the tight bounding box of the rows one mdsd
+/// serves, published only when every coordinate of those rows is finite
+/// (so no box query or kNN answer can come from outside it). Empty lo/hi
+/// = no box published; the coordinator then always contacts the shard.
+struct RoutingBox {
+  std::vector<double> lo, hi;
+  bool known() const { return !lo.empty(); }
 };
 
 /// kHealth reply body.
@@ -263,6 +280,8 @@ struct HealthReply {
   uint8_t draining = 0;
   uint64_t served_rows = 0;
   uint32_t dim = 0;
+  /// Additive tail: present only when the box is known.
+  RoutingBox routing_box;
 };
 
 /// kReload reply body: the epoch transition and the new row count. From a
@@ -272,6 +291,9 @@ struct ReloadReply {
   uint64_t old_epoch = 0;
   uint64_t new_epoch = 0;
   uint64_t served_rows = 0;
+  /// The new generation's routing box; the same additive tail as on
+  /// HealthReply. A coordinator's merged reply carries none.
+  RoutingBox routing_box;
 };
 
 // --- Codec -----------------------------------------------------------------
@@ -311,6 +333,12 @@ void EncodeReloadRequest(const ReloadRequest& req, WireWriter* w);
 Status DecodeReloadRequest(WireReader* r, ReloadRequest* req);
 void EncodeReloadReply(const ReloadReply& reply, WireWriter* w);
 Status DecodeReloadReply(WireReader* r, ReloadReply* reply);
+/// The routing-box tail shared by HealthReply and ReloadReply: lo then hi
+/// as EncodeCoords vectors, written only when the box is known. Decoding
+/// an absent tail (an older encoder, or no box) yields an unknown box; a
+/// present tail must be finite, same-dimensional and not inverted.
+void EncodeRoutingBox(const RoutingBox& box, WireWriter* w);
+Status DecodeRoutingBox(WireReader* r, RoutingBox* box);
 
 /// InvalidArgument unless a request's coordinate count matches the served
 /// dimension — the check mdsd and mdsc both apply after decoding a body.

@@ -47,6 +47,16 @@ RangeScanner::ScanOptions ScanOptionsFor(const protocol::MessageHeader& h) {
   return scan;
 }
 
+/// The dataset's routing box as the Health/Reload reply tail carries it.
+protocol::RoutingBox WireRoutingBox(const ServedDataset& dataset) {
+  protocol::RoutingBox box;
+  if (dataset.routing_box()) {
+    box.lo = dataset.routing_box()->lo();
+    box.hi = dataset.routing_box()->hi();
+  }
+  return box;
+}
+
 }  // namespace
 
 QueryServer::QueryServer(std::shared_ptr<const ServedDataset> dataset,
@@ -149,6 +159,7 @@ Result<protocol::ReloadReply> QueryServer::Reload(const std::string& path) {
     dataset_->BumpEpoch();
     reply.new_epoch = dataset_->epoch();
     reply.served_rows = dataset_->num_rows();
+    reply.routing_box = WireRoutingBox(*dataset_);
     pool_at_start_ = dataset_->pool()->Snapshot();
   }
   return reply;
@@ -398,6 +409,7 @@ protocol::HealthReply QueryServer::Health(const Request& req) const {
   protocol::HealthReply reply;
   reply.served_rows = req.dataset->num_rows();
   reply.dim = static_cast<uint32_t>(req.dataset->dim());
+  reply.routing_box = WireRoutingBox(*req.dataset);
   return reply;
 }
 

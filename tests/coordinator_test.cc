@@ -2,7 +2,10 @@
 // merge helpers, and the full scatter-gather path end-to-end — parity
 // over 2 and 4 shards against a single mdsd (rows AND ordering), replica
 // failover under a mid-load backend kill, hedging against a stalled
-// replica, graceful drain, and the per-shard routing counters.
+// replica, graceful drain, and the per-shard routing counters. Shard
+// pruning: parity over an exact grid (faces, gaps, distance ties), a
+// NaN-row shard that publishes no box, a failed wave-one shard, routing
+// boxes re-keyed by a reload, and the routing tails on the wire.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +13,15 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/socket.h"
 #include "sdss/catalog.h"
@@ -242,6 +250,10 @@ class CoordinatorTest : public ::testing::Test {
     return std::move(*client);
   }
 
+  /// The whole catalog's tight bounding box: it meets every shard's
+  /// routing box.
+  static Box CatalogBox() { return *single_->routing_box(); }
+
   static Box LocusBox(double half_width) {
     double mags[kNumBands];
     StellarLocus(0.5, 0.0, mags);
@@ -416,7 +428,8 @@ TEST_F(CoordinatorTest, TableSampleDeterministicAndContained) {
 TEST_F(CoordinatorTest, PlannerHintsPassThroughToShards) {
   Topology t = Start({{shard2_[0]}, {shard2_[1]}});
   QueryClient client = MustConnect(t.coordinator->port());
-  const Box box = LocusBox(0.8);
+  // A box that meets both shards' routing boxes, so both shards scan.
+  const Box box = CatalogBox();
 
   QueryOptions full_scan;
   full_scan.force_full_scan = true;
@@ -612,7 +625,9 @@ TEST_F(CoordinatorTest, StatsCarryPerShardRoutingCounters) {
   Topology t = Start({{shard2_[0]}, {shard2_[1]}});
   QueryClient client = MustConnect(t.coordinator->port());
 
-  const Box box = LocusBox(0.5);
+  // A box that meets both shards' routing boxes, so every count is sent
+  // to both shards.
+  const Box box = CatalogBox();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(client.PointCount(box).ok());
   }
@@ -671,6 +686,568 @@ TEST_F(CoordinatorTest, IdleClientConnectionsCostNoThreads) {
   ASSERT_TRUE(client.PointCount(LocusBox(0.5)).ok());
   EXPECT_EQ(count_threads(), threads_before)
       << kIdle << " idle client connections must not cost threads";
+}
+
+// --- shard pruning: counters, wave-one failure, reload ----------------------
+
+/// The first row of `shard` (in clustered order) that lies outside
+/// `other`'s routing box: a probe only `shard` can answer.
+std::vector<double> RowOutside(const ServedDataset& shard, const Box& other) {
+  for (uint64_t id : shard.tree().clustered_order()) {
+    const float* p = shard.points().point(id);
+    if (!other.Contains(p)) return std::vector<double>(p, p + shard.dim());
+  }
+  ADD_FAILURE() << "every row of the shard lies inside the other box";
+  return {};
+}
+
+TEST_F(CoordinatorTest, StatsCountPrunedShardsAndSecondWaves) {
+  Topology t = Start({{shard2_[0]}, {shard2_[1]}});
+  QueryClient client = MustConnect(t.coordinator->port());
+
+  // A point box on a shard-0 row outside shard 1's routing box: only
+  // shard 0 is asked.
+  const std::vector<double> row =
+      RowOutside(*shard2_[0], *shard2_[1]->routing_box());
+  ASSERT_FALSE(row.empty());
+  for (int i = 0; i < 3; ++i) {
+    auto count = client.PointCount(Box(row, row));
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_GE(*count, 1u);
+  }
+  // The probe's nearest row is itself (d2 0), and shard 1's box is
+  // farther than that: no second wave.
+  auto nearest = client.Knn(row, 1);
+  ASSERT_TRUE(nearest.ok()) << nearest.status().ToString();
+  ASSERT_EQ(nearest->neighbors.size(), 1u);
+  EXPECT_EQ(nearest->neighbors[0].squared_distance, 0.0);
+  // A skipped shard counts as answered.
+  EXPECT_EQ(nearest->shards_answered, 2u);
+  EXPECT_EQ(nearest->shards_mask, 0x3u);
+
+  auto stats = client.ServerStats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->shards.size(), 2u);
+  EXPECT_EQ(stats->shards[0].requests, 4u);
+  EXPECT_EQ(stats->shards[0].pruned, 0u);
+  EXPECT_EQ(stats->shards[1].requests, 0u);  // legs actually sent
+  EXPECT_EQ(stats->shards[1].pruned, 4u);
+  EXPECT_EQ(stats->knn_second_waves, 0u);
+
+  // k beyond shard 0's rows: wave one returns fewer than k, so nothing
+  // bounds the other shard and wave two asks it.
+  const uint32_t k = static_cast<uint32_t>(shard2_[0]->num_rows() + 1);
+  auto wide = client.Knn(row, k);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(wide->neighbors.size(), k);
+  stats = client.ServerStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->knn_second_waves, 1u);
+  EXPECT_EQ(stats->shards[1].requests, 1u);
+  EXPECT_EQ(stats->shards[1].pruned, 4u);
+}
+
+TEST_F(CoordinatorTest, WaveOneFailureUnderAllowPartialEqualsSurvivors) {
+  Topology t =
+      Start({{shard4_[0]}, {shard4_[1]}, {shard4_[2]}, {shard4_[3]}});
+  // A probe on a shard-2 row: the wave-one shard is the nearest box
+  // (lowest index on ties), computed here the way the coordinator does.
+  const ServedDataset& owner = *shard4_[2];
+  const float* p = owner.points().point(owner.tree().clustered_order()[0]);
+  const std::vector<double> probe(p, p + owner.dim());
+  size_t wave_one = 0;
+  double best = std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s < 4; ++s) {
+    const double d2 = shard4_[s]->routing_box()->MinSquaredDistance(
+        probe.data());
+    if (d2 < best) {
+      best = d2;
+      wave_one = s;
+    }
+  }
+  t.backends[wave_one]->Shutdown();
+
+  constexpr uint32_t kK = 25;
+  QueryOptions partial;
+  partial.allow_partial = true;
+  QueryClient client = MustConnect(t.coordinator->port());
+  auto knn = client.Knn(probe, kK, partial);
+  ASSERT_TRUE(knn.ok()) << knn.status().ToString();
+  EXPECT_TRUE(knn->partial);
+  EXPECT_EQ(knn->shards_answered, 3u);
+  EXPECT_EQ(knn->shards_total, 4u);
+  EXPECT_EQ(knn->shards_mask, 0xFu & ~(1ull << wave_one));
+
+  // Survivor oracle: every other shard asked directly, merged.
+  std::vector<std::vector<WireNeighbor>> survivors;
+  for (size_t s = 0; s < 4; ++s) {
+    if (s == wave_one) continue;
+    QueryClient direct = MustConnect(t.backends[s]->port());
+    auto own = direct.Knn(probe, kK);
+    ASSERT_TRUE(own.ok()) << own.status().ToString();
+    survivors.push_back(own->neighbors);
+  }
+  const auto oracle = MergeKnnNeighbors(survivors, kK);
+  ASSERT_EQ(knn->neighbors.size(), oracle.size());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(knn->neighbors[i].id, oracle[i].id) << i;
+    EXPECT_EQ(knn->neighbors[i].squared_distance, oracle[i].squared_distance)
+        << i;
+  }
+  EXPECT_EQ(t.coordinator->Stats().knn_second_waves, 1u);
+}
+
+TEST_F(CoordinatorTest, ReloadThroughCoordinatorReKeysRoutingBoxes) {
+  // The backends' next generation: the same 4-way slicing of a catalog
+  // drawn from another seed, so every shard's routing box moves.
+  DatasetConfig next_config;
+  next_config.num_rows = kRows;
+  next_config.seed = kSeed + 1;
+  std::shared_ptr<ServedDataset> next[4];
+  for (uint32_t s = 0; s < 4; ++s) {
+    next_config.shard_index = s;
+    next_config.shard_count = 4;
+    auto built = ServedDataset::Build(next_config);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    next[s] = std::make_shared<ServedDataset>(std::move(*built));
+  }
+  next_config.shard_index = 0;
+  next_config.shard_count = 1;
+  auto next_single = ServedDataset::Build(next_config);
+  ASSERT_TRUE(next_single.ok());
+  QueryServer single(&*next_single, ServerConfig{});
+  ASSERT_TRUE(single.Start().ok());
+
+  Topology t =
+      Start({{shard4_[0]}, {shard4_[1]}, {shard4_[2]}, {shard4_[3]}});
+  for (uint32_t s = 0; s < 4; ++s) {
+    t.backends[s]->SetReloadHandler(
+        [dataset = next[s]](const std::string&)
+            -> Result<std::shared_ptr<ServedDataset>> { return dataset; });
+  }
+
+  // A new-generation row of shard s outside shard s's OLD box: with stale
+  // boxes the coordinator would skip the shard that now holds it.
+  std::vector<double> moved;
+  for (size_t s = 4; s-- > 0 && moved.empty();) {
+    const Box& old_box = *shard4_[s]->routing_box();
+    for (uint64_t id : next[s]->tree().clustered_order()) {
+      const float* p = next[s]->points().point(id);
+      if (!old_box.Contains(p)) {
+        moved.assign(p, p + next[s]->dim());
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(moved.empty()) << "no routing box moved";
+
+  QueryClient via_coord = MustConnect(t.coordinator->port());
+  auto reloaded = via_coord.Reload("");
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->served_rows, kRows);
+  EXPECT_FALSE(reloaded->routing_box.known());  // a fleet has no one box
+
+  QueryClient via_single = MustConnect(single.port());
+  auto pruned_total = [&t] {
+    uint64_t total = 0;
+    for (const auto& shard : t.coordinator->Stats().shards) {
+      total += shard.pruned;
+    }
+    return total;
+  };
+  const uint64_t pruned_before = pruned_total();
+  auto count_c = via_coord.PointCount(Box(moved, moved));
+  auto count_s = via_single.PointCount(Box(moved, moved));
+  ASSERT_TRUE(count_c.ok()) << count_c.status().ToString();
+  ASSERT_TRUE(count_s.ok());
+  EXPECT_GE(*count_s, 1u);
+  EXPECT_EQ(*count_c, *count_s);
+  // The new boxes are installed, not merely forgotten: a one-row box
+  // still skips shards after the reload.
+  EXPECT_GT(pruned_total(), pruned_before);
+  auto knn_c = via_coord.Knn(moved, 3);
+  auto knn_s = via_single.Knn(moved, 3);
+  ASSERT_TRUE(knn_c.ok()) << knn_c.status().ToString();
+  ASSERT_TRUE(knn_s.ok());
+  ASSERT_EQ(knn_c->neighbors.size(), knn_s->neighbors.size());
+  for (size_t i = 0; i < knn_s->neighbors.size(); ++i) {
+    EXPECT_EQ(knn_c->neighbors[i].id, knn_s->neighbors[i].id) << i;
+  }
+  AssertParity(via_coord, via_single);
+  t = Topology{};  // backends stop before the datasets they serve
+  single.Shutdown();
+}
+
+// --- pruned parity over an exact grid ----------------------------------------
+
+/// A 32x32 integer grid in 2-D, read from CSV so every coordinate and
+/// distance is exact, and served whole and as 2- and 4-way kd shards.
+/// Rows are written with x descending, so at a tie across the x = 15|16
+/// face the lower id lies in the higher-index shard: a wave two that
+/// stopped at d2 < m (not <=) would return the wrong neighbour.
+class PrunedScatterTest : public ::testing::Test {
+ protected:
+  static constexpr int kSide = 32;
+
+  static void SetUpTestSuite() {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("mds_pruned_scatter_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir_);
+    const std::string csv = (dir_ / "grid.csv").string();
+    {
+      std::ofstream out(csv);
+      out << "# x,y\n";
+      for (int x = kSide - 1; x >= 0; --x) {
+        for (int y = 0; y < kSide; ++y) out << x << "," << y << "\n";
+      }
+    }
+    auto grid = ReadPointCsv(csv);
+    ASSERT_TRUE(grid.ok()) << grid.status().ToString();
+    single_ = WriteAndLoad(*grid, 0, 1, "single");
+    for (uint32_t i = 0; i < 2; ++i) {
+      shard2_[i] = WriteAndLoad(*grid, i, 2, "two");
+    }
+    for (uint32_t i = 0; i < 4; ++i) {
+      shard4_[i] = WriteAndLoad(*grid, i, 4, "four");
+    }
+  }
+
+  static void TearDownTestSuite() {
+    delete single_;
+    single_ = nullptr;
+    for (auto& d : shard2_) { delete d; d = nullptr; }
+    for (auto& d : shard4_) { delete d; d = nullptr; }
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+
+  static ServedDataset* WriteAndLoad(const PointSet& points, uint32_t index,
+                                     uint32_t count, const std::string& name) {
+    DatasetFileOptions options;
+    options.ingest = &points;
+    options.dataset.shard_index = index;
+    options.dataset.shard_count = count;
+    const std::string path =
+        (dir_ / (name + std::to_string(index) + ".mds")).string();
+    const Status written = WriteDatasetFile(options, path);
+    EXPECT_TRUE(written.ok()) << written.ToString();
+    auto loaded = ServedDataset::Load(path);
+    EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    return loaded.ok() ? new ServedDataset(std::move(*loaded)) : nullptr;
+  }
+
+  /// Boxes that straddle the shard faces, touch a face exactly, fall in
+  /// the gap between two shards' boxes, or miss the catalog.
+  static std::vector<Box> Boxes() {
+    return {
+        Box({14.5, 2.0}, {17.2, 9.0}),     // straddles x = 15|16
+        Box({14.5, 14.5}, {16.5, 16.5}),   // meets all four quadrants
+        Box({10.2, 3.0}, {16.0, 9.0}),     // hi.x touches the x = 16 face
+        Box({15.0, 0.0}, {15.7, 31.0}),    // lo.x touches the x = 15 face
+        Box({16.0, 16.0}, {16.0, 16.0}),   // one row, on two faces
+        Box({0.0, 15.0}, {31.0, 15.0}),    // the y = 15 face only
+        Box({15.2, 0.0}, {15.8, 31.0}),    // between the x faces: empty
+        Box({40.0, 40.0}, {50.0, 50.0}),   // outside the catalog
+        Box({-10.0, 0.0}, {-1.0, 31.0}),   // outside, beside shard faces
+        Box({-1.0, -1.0}, {32.0, 32.0}),   // the whole catalog
+    };
+  }
+
+  /// kNN probes on and near the shard faces, and outside the catalog.
+  static std::vector<std::vector<double>> Probes() {
+    return {{15.5, 7.0},   {15.5, 15.5}, {16.0, 15.5}, {15.49, 3.2},
+            {15.51, 28.9}, {7.3, 15.5},  {16.0, 16.0}, {15.5, 40.0},
+            {-3.0, -3.0},  {30.9, 0.1}};
+  }
+
+  /// Every box and probe answers identically through the coordinator and
+  /// through the single server (hinted boxes in the same order too).
+  static void ExpectParity(QueryClient& via_coord, QueryClient& via_single) {
+    for (const Box& box : Boxes()) {
+      SCOPED_TRACE("box lo=(" + std::to_string(box.lo(0)) + "," +
+                   std::to_string(box.lo(1)) + ")");
+      auto count_c = via_coord.PointCount(box);
+      auto count_s = via_single.PointCount(box);
+      ASSERT_TRUE(count_c.ok()) << count_c.status().ToString();
+      ASSERT_TRUE(count_s.ok());
+      EXPECT_EQ(*count_c, *count_s);
+      for (const bool full_scan : {true, false}) {
+        QueryOptions hint;
+        hint.force_full_scan = full_scan;
+        hint.force_index = !full_scan;
+        for (uint64_t limit : {0u, 3u}) {
+          auto rows_c = via_coord.BoxQuery(box, limit, hint);
+          auto rows_s = via_single.BoxQuery(box, limit, hint);
+          ASSERT_TRUE(rows_c.ok()) << rows_c.status().ToString();
+          ASSERT_TRUE(rows_s.ok());
+          EXPECT_EQ(rows_c->row_count, rows_s->row_count);
+          EXPECT_EQ(rows_c->objids, rows_s->objids);
+          EXPECT_EQ(rows_c->chosen_path, rows_s->chosen_path);
+        }
+      }
+    }
+    for (const std::vector<double>& probe : Probes()) {
+      for (uint32_t k : {1u, 2u, 3u, 4u, 8u, 40u}) {
+        SCOPED_TRACE("probe (" + std::to_string(probe[0]) + "," +
+                     std::to_string(probe[1]) + ") k=" + std::to_string(k));
+        auto knn_c = via_coord.Knn(probe, k);
+        auto knn_s = via_single.Knn(probe, k);
+        ASSERT_TRUE(knn_c.ok()) << knn_c.status().ToString();
+        ASSERT_TRUE(knn_s.ok());
+        ASSERT_EQ(knn_c->neighbors.size(), knn_s->neighbors.size());
+        for (size_t i = 0; i < knn_s->neighbors.size(); ++i) {
+          EXPECT_EQ(knn_c->neighbors[i].id, knn_s->neighbors[i].id) << i;
+          EXPECT_EQ(knn_c->neighbors[i].squared_distance,
+                    knn_s->neighbors[i].squared_distance)
+              << i;
+        }
+      }
+    }
+  }
+
+  static void RunParity(const std::vector<ServedDataset*>& shards) {
+    QueryServer single(single_, ServerConfig{});
+    ASSERT_TRUE(single.Start().ok());
+    std::vector<std::unique_ptr<QueryServer>> backends;
+    ShardMap map;
+    for (ServedDataset* dataset : shards) {
+      ASSERT_NE(dataset, nullptr);
+      ASSERT_TRUE(dataset->routing_box().has_value());
+      backends.push_back(
+          std::make_unique<QueryServer>(dataset, ServerConfig{}));
+      ASSERT_TRUE(backends.back()->Start().ok());
+      map.shards.push_back({{"127.0.0.1", backends.back()->port()}});
+    }
+    Coordinator coordinator(map, CoordinatorConfig{});
+    ASSERT_TRUE(coordinator.Start().ok());
+    {
+      auto c = QueryClient::Connect("127.0.0.1", coordinator.port());
+      auto s = QueryClient::Connect("127.0.0.1", single.port());
+      ASSERT_TRUE(c.ok() && s.ok());
+
+      // The tie this grid exists for: (15,7) and (16,7) are both at d2
+      // 0.25 from (15.5, 7), and the lower id is the x = 16 row.
+      auto tie = s->Knn({15.5, 7.0}, 1);
+      ASSERT_TRUE(tie.ok());
+      ASSERT_EQ(tie->neighbors.size(), 1u);
+      EXPECT_EQ(tie->neighbors[0].id, (kSide - 1 - 16) * kSide + 7);
+      EXPECT_EQ(tie->neighbors[0].squared_distance, 0.25);
+
+      ExpectParity(*c, *s);
+    }
+    const auto stats = coordinator.Stats();
+    uint64_t pruned = 0;
+    for (const auto& shard : stats.shards) pruned += shard.pruned;
+    EXPECT_GT(pruned, 0u);
+    EXPECT_GT(stats.knn_second_waves, 0u);
+    coordinator.Shutdown();
+    for (auto& b : backends) b->Shutdown();
+    single.Shutdown();
+  }
+
+  static std::filesystem::path dir_;
+  static ServedDataset* single_;
+  static ServedDataset* shard2_[2];
+  static ServedDataset* shard4_[4];
+};
+
+std::filesystem::path PrunedScatterTest::dir_;
+ServedDataset* PrunedScatterTest::single_ = nullptr;
+ServedDataset* PrunedScatterTest::shard2_[2] = {};
+ServedDataset* PrunedScatterTest::shard4_[4] = {};
+
+TEST_F(PrunedScatterTest, TwoShardParityOverFacesAndTies) {
+  RunParity({shard2_[0], shard2_[1]});
+}
+
+TEST_F(PrunedScatterTest, FourShardParityOverFacesAndTies) {
+  RunParity({shard4_[0], shard4_[1], shard4_[2], shard4_[3]});
+}
+
+TEST_F(PrunedScatterTest, ShardWithNanRowPublishesNoBoxAndIsAlwaysAsked) {
+  // Six dimensions over the grid, with one NaN in the last. 1024 rows
+  // make a 5-level tree that splits dims 0..4 only, so the NaN never
+  // meets a split comparison. A full-scan box counts the NaN row as
+  // inside, so only contacting its shard keeps the count exact.
+  PointSet points(6, 0);
+  for (int x = 0; x < kSide; ++x) {
+    for (int y = 0; y < kSide; ++y) {
+      const float row[6] = {static_cast<float>(x), static_cast<float>(y),
+                            static_cast<float>((x * y) % 5),
+                            static_cast<float>((x + y) % 3), 0.5f * y, 1.0f};
+      points.Append(row);
+    }
+  }
+  points.mutable_point(3)[5] = std::numeric_limits<float>::quiet_NaN();
+  std::unique_ptr<ServedDataset> single(WriteAndLoad(points, 0, 1, "nan"));
+  std::unique_ptr<ServedDataset> halves[2] = {
+      std::unique_ptr<ServedDataset>(WriteAndLoad(points, 0, 2, "nan_two")),
+      std::unique_ptr<ServedDataset>(WriteAndLoad(points, 1, 2, "nan_two"))};
+  ASSERT_TRUE(single && halves[0] && halves[1]);
+  EXPECT_FALSE(single->routing_box().has_value());
+
+  QueryServer single_server(single.get(), ServerConfig{});
+  ASSERT_TRUE(single_server.Start().ok());
+  std::vector<std::unique_ptr<QueryServer>> backends;
+  ShardMap map;
+  size_t tainted = 2;
+  for (size_t s = 0; s < 2; ++s) {
+    backends.push_back(
+        std::make_unique<QueryServer>(halves[s].get(), ServerConfig{}));
+    ASSERT_TRUE(backends.back()->Start().ok());
+    map.shards.push_back({{"127.0.0.1", backends.back()->port()}});
+    auto direct = QueryClient::Connect("127.0.0.1", backends.back()->port());
+    ASSERT_TRUE(direct.ok());
+    auto health = direct->Health();
+    ASSERT_TRUE(health.ok()) << health.status().ToString();
+    if (!health->routing_box.known()) tainted = s;
+  }
+  ASSERT_LT(tainted, 2u) << "the NaN row's shard published a box";
+  EXPECT_TRUE(halves[1 - tainted]->routing_box().has_value());
+  Coordinator coordinator(map, CoordinatorConfig{});
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  auto via_coord = QueryClient::Connect("127.0.0.1", coordinator.port());
+  auto via_single = QueryClient::Connect("127.0.0.1", single_server.port());
+  ASSERT_TRUE(via_coord.ok() && via_single.ok());
+  // Dims 0..4 cover the NaN row; dim 5 misses every finite row.
+  const Box beside({-1, -1, -1, -1, -1, 100}, {40, 40, 10, 10, 40, 101});
+  QueryOptions full_scan;
+  full_scan.force_full_scan = true;
+  for (const Box& box : {beside, Box({40, 40, 0, 0, 0, 0},
+                                     {50, 50, 1, 1, 1, 1})}) {
+    auto rows_c = via_coord->BoxQuery(box, 0, full_scan);
+    auto rows_s = via_single->BoxQuery(box, 0, full_scan);
+    ASSERT_TRUE(rows_c.ok()) << rows_c.status().ToString();
+    ASSERT_TRUE(rows_s.ok());
+    EXPECT_EQ(rows_c->row_count, rows_s->row_count);
+    EXPECT_EQ(rows_c->objids, rows_s->objids);
+  }
+  auto nan_count = via_single->BoxQuery(beside, 0, full_scan);
+  ASSERT_TRUE(nan_count.ok());
+  EXPECT_EQ(nan_count->objids, std::vector<int64_t>{3});
+
+  const auto stats = coordinator.Stats();
+  ASSERT_EQ(stats.shards.size(), 2u);
+  EXPECT_EQ(stats.shards[tainted].pruned, 0u);
+  EXPECT_EQ(stats.shards[tainted].requests, 2u);
+  EXPECT_EQ(stats.shards[1 - tainted].pruned, 2u);
+  coordinator.Shutdown();
+  for (auto& b : backends) b->Shutdown();
+  single_server.Shutdown();
+}
+
+// --- routing tails on the wire ----------------------------------------------
+
+template <typename T, typename Encode>
+std::vector<uint8_t> Encoded(const T& value, Encode encode) {
+  std::vector<uint8_t> bytes;
+  WireWriter w(&bytes);
+  encode(value, &w);
+  return bytes;
+}
+
+/// The routing tail is appended after every field an older peer knows, so
+/// an older decoder (which stops after its last field and ignores what
+/// follows) reads the new encoding exactly like the old one: the old
+/// bytes must be a prefix of the new.
+void ExpectPrefix(const std::vector<uint8_t>& prefix,
+                  const std::vector<uint8_t>& bytes, size_t tail_bytes) {
+  ASSERT_EQ(bytes.size(), prefix.size() + tail_bytes);
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), bytes.begin()));
+}
+
+TEST(RoutingTailTest, HealthBoxTailReadsBothWays) {
+  protocol::HealthReply old_reply;
+  old_reply.served_rows = 42;
+  old_reply.dim = 2;
+  protocol::HealthReply reply = old_reply;
+  reply.routing_box.lo = {-1.5, 0.0};
+  reply.routing_box.hi = {2.0, 0.0};
+  const auto old_bytes = Encoded(old_reply, protocol::EncodeHealthReply);
+  const auto new_bytes = Encoded(reply, protocol::EncodeHealthReply);
+  ExpectPrefix(old_bytes, new_bytes, 2 * (4 + 2 * 8));
+
+  // Old encoder, new decoder: no tail, no box.
+  protocol::HealthReply decoded;
+  WireReader r_old(old_bytes.data(), old_bytes.size());
+  ASSERT_TRUE(protocol::DecodeHealthReply(&r_old, &decoded).ok());
+  EXPECT_EQ(decoded.served_rows, 42u);
+  EXPECT_FALSE(decoded.routing_box.known());
+  // New encoder, new decoder: the box round-trips.
+  WireReader r_new(new_bytes.data(), new_bytes.size());
+  ASSERT_TRUE(protocol::DecodeHealthReply(&r_new, &decoded).ok());
+  EXPECT_TRUE(r_new.ExpectEnd().ok());
+  EXPECT_EQ(decoded.routing_box.lo, reply.routing_box.lo);
+  EXPECT_EQ(decoded.routing_box.hi, reply.routing_box.hi);
+
+  // A tail that is inverted or not finite is refused, never routed by.
+  for (const auto& bad :
+       {std::pair<double, double>{3.0, 2.0},
+        {0.0, std::numeric_limits<double>::infinity()}}) {
+    protocol::HealthReply hostile = reply;
+    hostile.routing_box.lo[0] = bad.first;
+    hostile.routing_box.hi[0] = bad.second;
+    const auto bytes = Encoded(hostile, protocol::EncodeHealthReply);
+    WireReader r(bytes.data(), bytes.size());
+    const Status status = protocol::DecodeHealthReply(&r, &decoded);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(decoded.routing_box.known());
+  }
+}
+
+TEST(RoutingTailTest, ReloadBoxTailReadsBothWays) {
+  protocol::ReloadReply old_reply;
+  old_reply.old_epoch = 3;
+  old_reply.new_epoch = 4;
+  old_reply.served_rows = 9;
+  protocol::ReloadReply reply = old_reply;
+  reply.routing_box.lo = {0.0, 1.0, 2.0};
+  reply.routing_box.hi = {0.5, 1.5, 2.5};
+  const auto old_bytes = Encoded(old_reply, protocol::EncodeReloadReply);
+  const auto new_bytes = Encoded(reply, protocol::EncodeReloadReply);
+  ExpectPrefix(old_bytes, new_bytes, 2 * (4 + 3 * 8));
+
+  protocol::ReloadReply decoded;
+  WireReader r_old(old_bytes.data(), old_bytes.size());
+  ASSERT_TRUE(protocol::DecodeReloadReply(&r_old, &decoded).ok());
+  EXPECT_EQ(decoded.new_epoch, 4u);
+  EXPECT_FALSE(decoded.routing_box.known());
+  WireReader r_new(new_bytes.data(), new_bytes.size());
+  ASSERT_TRUE(protocol::DecodeReloadReply(&r_new, &decoded).ok());
+  EXPECT_TRUE(r_new.ExpectEnd().ok());
+  EXPECT_EQ(decoded.routing_box.lo, reply.routing_box.lo);
+  EXPECT_EQ(decoded.routing_box.hi, reply.routing_box.hi);
+}
+
+TEST(RoutingTailTest, StatsPrunedTailReadsBothWays) {
+  protocol::ServerStatsSnapshot old_stats;
+  old_stats.requests_total = 11;
+  old_stats.reply_tail_copies = 5;
+  old_stats.shards.resize(3);
+  old_stats.shards[1].requests = 7;
+  protocol::ServerStatsSnapshot stats = old_stats;
+  stats.knn_second_waves = 2;
+  stats.shards[0].pruned = 4;
+  stats.shards[2].pruned = 6;
+  const auto old_bytes = Encoded(old_stats, protocol::EncodeServerStats);
+  const auto new_bytes = Encoded(stats, protocol::EncodeServerStats);
+  ExpectPrefix(old_bytes, new_bytes, 8 * (1 + 3));
+
+  protocol::ServerStatsSnapshot decoded;
+  WireReader r_old(old_bytes.data(), old_bytes.size());
+  ASSERT_TRUE(protocol::DecodeServerStats(&r_old, &decoded).ok());
+  EXPECT_EQ(decoded.reply_tail_copies, 5u);
+  EXPECT_EQ(decoded.knn_second_waves, 0u);
+  for (const auto& shard : decoded.shards) EXPECT_EQ(shard.pruned, 0u);
+  WireReader r_new(new_bytes.data(), new_bytes.size());
+  ASSERT_TRUE(protocol::DecodeServerStats(&r_new, &decoded).ok());
+  EXPECT_TRUE(r_new.ExpectEnd().ok());
+  EXPECT_EQ(decoded.shards[1].requests, 7u);
+  EXPECT_EQ(decoded.knn_second_waves, 2u);
+  EXPECT_EQ(decoded.shards[0].pruned, 4u);
+  EXPECT_EQ(decoded.shards[1].pruned, 0u);
+  EXPECT_EQ(decoded.shards[2].pruned, 6u);
 }
 
 }  // namespace

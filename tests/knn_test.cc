@@ -166,5 +166,43 @@ TEST(KnnTest, DegenerateDuplicateData) {
   }
 }
 
+TEST(KnnTest, TiesAtTheKthDistanceKeepTheLowestIds) {
+  // An integer grid with ids running against x, so probes halfway between
+  // columns see exact ties whose lowest id is NOT the row a search meets
+  // first. Every engine must return the first k in (distance, id) order.
+  PointSet ps(2, 0);
+  for (int x = 31; x >= 0; --x) {
+    for (int y = 0; y < 32; ++y) {
+      const float p[2] = {static_cast<float>(x), static_cast<float>(y)};
+      ps.Append(p);
+    }
+  }
+  auto tree = KdTreeIndex::Build(&ps);
+  ASSERT_TRUE(tree.ok());
+  KdKnnSearcher searcher(&*tree);
+  const double probes[][2] = {{15.5, 7.0},  {15.5, 15.5}, {16.25, 7.0},
+                              {7.5, 15.5},  {3.5, 3.5},   {-2.0, 15.5},
+                              {16.0, 16.0}, {0.5, 31.5}};
+  for (const auto& q : probes) {
+    for (size_t k : {1u, 2u, 3u, 5u, 8u, 13u}) {
+      auto brute = searcher.BruteForce(q, k);
+      auto best_first = searcher.BestFirst(q, k);
+      auto boundary = searcher.BoundaryGrow(q, k);
+      ASSERT_EQ(brute.size(), k);
+      ASSERT_EQ(best_first.size(), k);
+      ASSERT_EQ(boundary.size(), k);
+      for (size_t i = 0; i < k; ++i) {
+        EXPECT_EQ(best_first[i].id, brute[i].id)
+            << "(" << q[0] << "," << q[1] << ") k " << k << " i " << i;
+        EXPECT_EQ(boundary[i].id, brute[i].id)
+            << "(" << q[0] << "," << q[1] << ") k " << k << " i " << i;
+      }
+    }
+  }
+  // (16,7) and (15,7) are both 0.25 from (15.5, 7); (16,7) has the lower id.
+  const double tie[2] = {15.5, 7.0};
+  EXPECT_EQ(searcher.BoundaryGrow(tie, 1)[0].id, 15u * 32 + 7);
+}
+
 }  // namespace
 }  // namespace mds
