@@ -186,8 +186,10 @@ void Run(const bench::BenchOptions& options) {
   dataset_config.num_rows = options.n != 0 ? options.n
                             : options.quick ? 100000
                                             : 500000;
-  auto dataset = ServedDataset::Build(dataset_config);
-  MDS_CHECK(dataset.ok());
+  auto built_catalog = ServedDataset::Build(dataset_config);
+  MDS_CHECK(built_catalog.ok());
+  const auto dataset =
+      std::make_shared<ServedDataset>(std::move(*built_catalog));
   std::printf("dataset: %llu rows, dim %zu\n",
               (unsigned long long)dataset->num_rows(), dataset->dim());
 
@@ -196,7 +198,7 @@ void Run(const bench::BenchOptions& options) {
     ServerConfig config;
     config.num_workers = 4;
     config.max_in_flight = 256;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     // Correctness probe before the clock starts: one remote count must
@@ -240,7 +242,7 @@ void Run(const bench::BenchOptions& options) {
     ServerConfig config;
     config.num_workers = 2;
     config.max_in_flight = 4;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t clients = 2 * config.max_in_flight * 2;  // 2x cap, 2 each
@@ -276,7 +278,7 @@ void Run(const bench::BenchOptions& options) {
     config.num_workers = 2;
     config.max_in_flight = 4;
     config.cache_bytes = 32u << 20;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t kDistinct = 64;
@@ -401,7 +403,7 @@ void Run(const bench::BenchOptions& options) {
     config.num_workers = 4;
     config.max_in_flight = 256;
     config.cache_bytes = 32u << 20;
-    QueryServer server(&*dataset, config);
+    QueryServer server(dataset, config);
     MDS_CHECK(server.Start().ok());
 
     const size_t kConns = 64;
@@ -480,20 +482,17 @@ void Run(const bench::BenchOptions& options) {
     double shards4_per_sec = 0.0;
     for (const uint32_t num_shards : {1u, 2u, 4u}) {
       // Shard datasets: shard 0 of 1 is the full catalog, already built.
-      std::vector<std::unique_ptr<ServedDataset>> shard_data;
       std::vector<std::unique_ptr<QueryServer>> backends;
       ShardMap map;
       for (uint32_t i = 0; i < num_shards; ++i) {
-        ServedDataset* served = &*dataset;
+        std::shared_ptr<ServedDataset> served = dataset;
         if (num_shards > 1) {
           DatasetConfig shard_config = dataset_config;
           shard_config.shard_index = i;
           shard_config.shard_count = num_shards;
           auto built = ServedDataset::Build(shard_config);
           MDS_CHECK(built.ok());
-          shard_data.push_back(
-              std::make_unique<ServedDataset>(std::move(*built)));
-          served = shard_data.back().get();
+          served = std::make_shared<ServedDataset>(std::move(*built));
         }
         ServerConfig backend_config;
         backend_config.num_workers = 2;
@@ -562,8 +561,8 @@ void Run(const bench::BenchOptions& options) {
     ServerConfig backend_config;
     backend_config.num_workers = 2;
     backend_config.max_in_flight = 256;
-    QueryServer replica0(&*dataset, backend_config);
-    QueryServer replica1(&*dataset, backend_config);
+    QueryServer replica0(dataset, backend_config);
+    QueryServer replica1(dataset, backend_config);
     MDS_CHECK(replica0.Start().ok());
     MDS_CHECK(replica1.Start().ok());
     ShardMap map;
@@ -661,7 +660,12 @@ void Run(const bench::BenchOptions& options) {
     // load-served server. The generations are identical (same seed), so
     // only the pager differs.
     const int per_client = options.quick ? 250 : 2500;
-    auto throughput_of = [&](ServedDataset* served, const char* name) {
+    const auto from_build =
+        std::make_shared<const ServedDataset>(std::move(*built));
+    const auto from_load =
+        std::make_shared<const ServedDataset>(std::move(*loaded));
+    auto throughput_of = [&](std::shared_ptr<const ServedDataset> served,
+                             const char* name) {
       ServerConfig config;
       config.num_workers = 4;
       config.max_in_flight = 256;
@@ -675,8 +679,9 @@ void Run(const bench::BenchOptions& options) {
       server.Shutdown();
       return 1000.0 * static_cast<double>(r.ok) / r.wall_ms;
     };
-    const double build_per_sec = throughput_of(&*built, "server_from_build");
-    const double mmap_per_sec = throughput_of(&*loaded, "server_from_mmap");
+    const double build_per_sec =
+        throughput_of(from_build, "server_from_build");
+    const double mmap_per_sec = throughput_of(from_load, "server_from_mmap");
     std::printf("mmap parity: %.0f req/s vs %.0f built (%.1f%%) on %u cores\n",
                 mmap_per_sec, build_per_sec,
                 100.0 * mmap_per_sec / build_per_sec,
@@ -688,12 +693,11 @@ void Run(const bench::BenchOptions& options) {
     // flips, then for the steady pass's count again, so the swap always
     // lands under load. Every request must succeed across the swap.
     {
-      auto served = std::make_shared<const ServedDataset>(std::move(*loaded));
       ServerConfig config;
       config.num_workers = 4;
       config.max_in_flight = 256;
       config.cache_bytes = 32u << 20;
-      QueryServer server(served, config);
+      QueryServer server(from_load, config);
       server.SetReloadHandler(
           [path](const std::string&)
               -> Result<std::shared_ptr<ServedDataset>> {

@@ -56,16 +56,13 @@ double AccessPath::PagesSpanned(uint64_t rows) const {
 
 FullScanPath::FullScanPath(const PointTableBinding& binding,
                            const Polyhedron& query)
-    : AccessPath(binding, nullptr),
-      owned_predicate_(std::make_unique<PolyhedronPredicate>(&query)) {
-  predicate_ = owned_predicate_.get();
-}
+    : AccessPath(binding, &polyhedron_predicate_),
+      polyhedron_predicate_(&query) {}
 
 FullScanPath::FullScanPath(const PointTableBinding& binding, const Box& query)
-    : AccessPath(binding, nullptr),
-      owned_predicate_(std::make_unique<BoxPredicate>(&query)) {
-  predicate_ = owned_predicate_.get();
-}
+    : AccessPath(binding, &polyhedron_predicate_),
+      box_polyhedron_(Polyhedron::FromBox(query)),
+      polyhedron_predicate_(&box_polyhedron_) {}
 
 CostEstimate FullScanPath::Estimate() const {
   CostEstimate estimate;
@@ -137,8 +134,9 @@ bool KdTreePath::NextStep(QueryStats* stats, PlanStep* step) {
 GridSamplePath::GridSamplePath(const PointTableBinding& binding,
                                const LayeredGridIndex& index, const Box& query,
                                uint64_t n)
-    : AccessPath(binding, &box_predicate_),
-      box_predicate_(&query),
+    : AccessPath(binding, &polyhedron_predicate_),
+      box_polyhedron_(Polyhedron::FromBox(query)),
+      polyhedron_predicate_(&box_polyhedron_),
       index_(&index),
       query_(&query),
       n_(n) {}
@@ -206,7 +204,7 @@ bool GridSamplePath::NextStep(QueryStats* stats, PlanStep* step) {
   step->ranges.clear();
   step->ranges.reserve(cell_scratch_.size());
   for (const auto& cr : cell_scratch_) {
-    const bool full = box_predicate_.Classify(CellBox(l, cr.cell)) ==
+    const bool full = polyhedron_predicate_.Classify(CellBox(l, cr.cell)) ==
                       BoxClass::kInside;
     if (full) {
       ++stats->cells_full;
@@ -285,8 +283,9 @@ bool VoronoiPath::NextStep(QueryStats* stats, PlanStep* step) {
 TableSamplePath::TableSamplePath(const PointTableBinding& binding,
                                  const Box& query, double percent, uint64_t n,
                                  Rng* rng)
-    : AccessPath(binding, &box_predicate_),
-      box_predicate_(&query),
+    : AccessPath(binding, &polyhedron_predicate_),
+      box_polyhedron_(Polyhedron::FromBox(query)),
+      polyhedron_predicate_(&box_polyhedron_),
       query_(&query),
       percent_(percent),
       n_(n),

@@ -2,7 +2,6 @@
 #define MDS_CORE_ACCESS_PATH_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -90,14 +89,14 @@ class AccessPath {
   virtual bool NextStep(QueryStats* stats, PlanStep* step) = 0;
 
   const PointTableBinding& binding() const { return binding_; }
-  const SpatialPredicate& predicate() const { return *predicate_; }
+  const PolyhedronPredicate& predicate() const { return *predicate_; }
 
   /// TOP(n) row limit; 0 means unlimited.
   virtual uint64_t limit() const { return 0; }
 
  protected:
   AccessPath(const PointTableBinding& binding,
-             const SpatialPredicate* predicate)
+             const PolyhedronPredicate* predicate)
       : binding_(binding), predicate_(predicate) {}
 
   double TablePages() const {
@@ -106,7 +105,7 @@ class AccessPath {
   double PagesSpanned(uint64_t rows) const;
 
   PointTableBinding binding_;
-  const SpatialPredicate* predicate_;
+  const PolyhedronPredicate* predicate_;
 };
 
 /// The paper's "simple SQL query" baseline: one partial range covering the
@@ -114,6 +113,7 @@ class AccessPath {
 class FullScanPath final : public AccessPath {
  public:
   FullScanPath(const PointTableBinding& binding, const Polyhedron& query);
+  /// Filters with Polyhedron::FromBox(query), built once here.
   FullScanPath(const PointTableBinding& binding, const Box& query);
 
   const char* name() const override { return "full-scan"; }
@@ -121,7 +121,8 @@ class FullScanPath final : public AccessPath {
   bool NextStep(QueryStats* stats, PlanStep* step) override;
 
  private:
-  std::unique_ptr<SpatialPredicate> owned_predicate_;
+  Polyhedron box_polyhedron_;  ///< the Box constructor's FromBox
+  PolyhedronPredicate polyhedron_predicate_;
   bool done_ = false;
 };
 
@@ -164,7 +165,8 @@ class GridSamplePath final : public AccessPath {
   /// `full` classification stays conservative under float rounding.
   Box CellBox(uint32_t l, int64_t cell) const;
 
-  BoxPredicate box_predicate_;
+  Polyhedron box_polyhedron_;  ///< FromBox(query), the filter and classifier
+  PolyhedronPredicate polyhedron_predicate_;
   const LayeredGridIndex* index_;
   const Box* query_;
   uint64_t n_;
@@ -212,7 +214,8 @@ class TableSamplePath final : public AccessPath {
   uint64_t limit() const override { return n_; }
 
  private:
-  BoxPredicate box_predicate_;
+  Polyhedron box_polyhedron_;  ///< FromBox(query), the filter
+  PolyhedronPredicate polyhedron_predicate_;
   const Box* query_;
   double percent_;
   uint64_t n_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/parallel.h"
@@ -164,9 +165,20 @@ Result<KdTreeIndex> KdTreeIndex::Build(const PointSet* points,
   // Tight bounding boxes bottom-up. The leaf scans dominate (they touch
   // every point once) and are independent, so they run on the pool; the
   // internal merges are O(#nodes) and stay serial.
+  // A leaf's bounds must hold every row for a `full` range to be exact; a
+  // NaN coordinate lies in no interval, so it opens its axis to
+  // (-inf, inf) and the leaf is never wholly inside a bounded query.
   ParallelFor(&build_pool, leaves, /*grain=*/1, [&](uint64_t o) {
     Node& node = index.nodes_[first_leaf_idx + o];
     node.bounds = tight_box(node.row_begin, node.row_end);
+    for (uint64_t r = node.row_begin; r < node.row_end; ++r) {
+      for (size_t j = 0; j < d; ++j) {
+        if (std::isnan(points->coord(perm[r], j))) {
+          node.bounds.set_lo(j, -std::numeric_limits<double>::infinity());
+          node.bounds.set_hi(j, std::numeric_limits<double>::infinity());
+        }
+      }
+    }
   });
   for (size_t idx = first_leaf_idx; idx-- > 0;) {
     Node& node = index.nodes_[idx];

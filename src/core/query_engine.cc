@@ -2,7 +2,6 @@
 
 #include <atomic>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 
 namespace mds {
@@ -19,7 +18,6 @@ std::vector<Result<StorageQueryResult>> QueryEngine::ExecuteBatch(
     stats->assign(paths.size(), QueryStats{});
   }
   if (paths.empty()) return results;
-  MDS_CHECK(options.scan.empty() || options.scan.size() == paths.size());
 
   unsigned threads = options.num_threads != 0 ? options.num_threads
                                               : QueryThreads();
@@ -35,11 +33,9 @@ std::vector<Result<StorageQueryResult>> QueryEngine::ExecuteBatch(
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= paths.size()) return;
       QueryStats* st = stats != nullptr ? &(*stats)[i] : nullptr;
-      const RangeScanner::ScanOptions scan =
-          options.scan.empty() ? RangeScanner::ScanOptions{} : options.scan[i];
       Result<StorageQueryResult> r =
           paths[i] != nullptr
-              ? ExecuteAccessPath(paths[i], scan, st)
+              ? ExecuteAccessPath(paths[i], st)
               : Result<StorageQueryResult>(
                     Status::InvalidArgument("null access path"));
       if (!r.ok()) {

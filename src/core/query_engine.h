@@ -29,11 +29,6 @@ class QueryEngine {
     /// Concurrent workers; 0 picks QueryThreads() (MDS_QUERY_THREADS,
     /// default hardware_concurrency).
     unsigned num_threads;
-
-    /// Scan policy per query, aligned with `paths` (a point count runs
-    /// count-only beside materializing box queries in one batch). Empty
-    /// runs every query with the default ScanOptions.
-    std::vector<RangeScanner::ScanOptions> scan;
   };
 
   /// Runs every path to completion, `num_threads` at a time, over the

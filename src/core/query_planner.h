@@ -31,9 +31,6 @@ class QueryPlanner {
 
   size_t num_paths() const { return paths_.size(); }
   const AccessPath& path(size_t i) const { return *paths_[i]; }
-  /// For callers that execute the chosen path themselves (mdsd runs each
-  /// pipelined request's ChooseBest() pick through one ExecuteBatch).
-  AccessPath* mutable_path(size_t i) { return paths_[i].get(); }
 
   /// Estimates every feasible path; returns the index of the cheapest.
   /// Fails if no feasible path is registered.

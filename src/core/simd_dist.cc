@@ -45,22 +45,6 @@ inline double Coord(const unsigned char* row, size_t j) {
   return v;
 }
 
-void BoxScalar(const double* lo, const double* hi, const unsigned char* rows,
-               size_t stride, size_t n, size_t dim, uint8_t* mask) {
-  for (size_t i = 0; i < n; ++i) {
-    const unsigned char* r = rows + i * stride;
-    uint8_t in = 1;
-    for (size_t j = 0; j < dim; ++j) {
-      const double v = Coord(r, j);
-      if (v < lo[j] || v > hi[j]) {
-        in = 0;
-        break;
-      }
-    }
-    mask[i] = in;
-  }
-}
-
 /// Halfspace::Contains over every halfspace, term for term: the reference,
 /// and the path of every row with a non-finite coordinate.
 bool HalfspacesDense(const HalfspaceSet& set, const unsigned char* r) {
@@ -86,11 +70,24 @@ bool HalfspacesSparse(const HalfspaceSet& set, const unsigned char* r) {
   return true;
 }
 
-/// The interval form's test; exact for finite rows of an interval set.
+/// Bound j of an interval set as the kernels test it: clamped to
+/// +-DBL_MAX when dim >= 2, so a +-inf coordinate fails its own axis (see
+/// HalfspaceSet). No float lies beyond DBL_MAX, so finite rows are
+/// unaffected.
+inline double KernelLo(const HalfspaceSet& set, size_t j) {
+  return set.dim < 2 ? set.lo[j]
+                     : std::max(set.lo[j], -std::numeric_limits<double>::max());
+}
+inline double KernelHi(const HalfspaceSet& set, size_t j) {
+  return set.dim < 2 ? set.hi[j]
+                     : std::min(set.hi[j], std::numeric_limits<double>::max());
+}
+
+/// The interval form's test; exact for every row of an interval set.
 bool InsideIntervals(const HalfspaceSet& set, const unsigned char* r) {
   for (size_t j = 0; j < set.dim; ++j) {
     const double v = Coord(r, j);
-    if (!(set.lo[j] <= v && v <= set.hi[j])) return false;
+    if (!(KernelLo(set, j) <= v && v <= KernelHi(set, j))) return false;
   }
   return true;
 }
@@ -107,10 +104,10 @@ void HalfspacesScalar(const HalfspaceSet& set, const unsigned char* rows,
   for (size_t i = 0; i < n; ++i) {
     const unsigned char* r = rows + i * stride;
     bool in;
-    if (!RowFinite(r, set.dim)) {
-      in = HalfspacesDense(set, r);
-    } else if (set.is_interval) {
+    if (set.is_interval) {
       in = InsideIntervals(set, r);
+    } else if (!RowFinite(r, set.dim)) {
+      in = HalfspacesDense(set, r);
     } else {
       in = HalfspacesSparse(set, r);
     }
@@ -125,21 +122,14 @@ void HalfspacesScalar(const HalfspaceSet& set, const unsigned char* rows,
 /// wider rows take the scalar tier.
 constexpr size_t kMaxStagedDim = 16;
 
-/// The per-axis test of a row-wise interval kernel.
-enum class IntervalTest {
-  kBox,           ///< Box::Contains: !(v < lo) && !(v > hi), NaN inside
-  kOrderedDense,  ///< lo <= v && v <= hi for finite rows; the others take
-                  ///< the dense reference of `set`
-};
-
 // --- SSE2 tier (baseline on x86-64): 2 double lanes --------------------------
 //
 // Lane-per-row layout for the sums: lane l accumulates the full scalar op
 // sequence for row i+l. Per dimension the two rows' floats are promoted
 // and combined with sub/mul/add in double — the identical IEEE
 // operations, in the identical order, as the scalar loop, so every lane
-// is bit-exact. No horizontal reduction ever happens. The interval tests
-// only compare, so their lanes hold one row's axes (IntervalRowsSse2).
+// is bit-exact. No horizontal reduction ever happens. The interval test
+// only compares, so its lanes hold one row's axes (IntervalRowsSse2).
 
 inline __m128d Promote2(const float* r0, const float* r1, size_t j) {
   return _mm_setr_pd(static_cast<double>(r0[j]), static_cast<double>(r1[j]));
@@ -192,14 +182,14 @@ inline __m128d LoadAxes2(const unsigned char* r, size_t at) {
   return _mm_cvtps_pd(_mm_castsi128_ps(_mm_cvtsi64_si128(bits)));
 }
 
-/// Row-wise interval test, one row per step: the row is promoted two axes
-/// at a time and compared with those axes' bounds, held in registers. An
-/// odd tail re-tests the last two axes; a 1-axis row leaves its second
-/// lane at 0 against (-inf, inf). Rows need dim <= kMaxStagedDim.
-template <IntervalTest kTest>
-void IntervalRowsSse2(const double* lo, const double* hi, size_t dim,
-                      const HalfspaceSet* set, const unsigned char* rows,
+/// Row-wise interval test of an interval set, one row per step: the row is
+/// promoted two axes at a time and compared (ordered, so NaN fails) with
+/// those axes' kernel bounds, held in registers. An odd tail re-tests the
+/// last two axes; a 1-axis row leaves its second lane at 0 against
+/// (-inf, inf). Rows need dim <= kMaxStagedDim.
+void IntervalRowsSse2(const HalfspaceSet& set, const unsigned char* rows,
                       size_t stride, size_t n, uint8_t* mask) {
+  const size_t dim = set.dim;
   const size_t chunks = (dim + 1) / 2;
   const double inf = std::numeric_limits<double>::infinity();
   size_t at[kMaxStagedDim / 2];
@@ -207,48 +197,23 @@ void IntervalRowsSse2(const double* lo, const double* hi, size_t dim,
   __m128d hi2[kMaxStagedDim / 2];
   for (size_t c = 0; c < chunks; ++c) {
     at[c] = dim < 2 ? 0 : std::min(2 * c, dim - 2);
-    lo2[c] = _mm_setr_pd(lo[at[c]], dim < 2 ? -inf : lo[at[c] + 1]);
-    hi2[c] = _mm_setr_pd(hi[at[c]], dim < 2 ? inf : hi[at[c] + 1]);
+    lo2[c] = _mm_setr_pd(KernelLo(set, at[c]),
+                         dim < 2 ? -inf : KernelLo(set, at[c] + 1));
+    hi2[c] = _mm_setr_pd(KernelHi(set, at[c]),
+                         dim < 2 ? inf : KernelHi(set, at[c] + 1));
   }
-  const __m128d zero = _mm_setzero_pd();
   for (size_t i = 0; i < n; ++i) {
     const unsigned char* r = rows + i * stride;
     __m128d in = _mm_castsi128_pd(_mm_set1_epi64x(-1));
-    __m128d finite = in;
     for (size_t c = 0; c < chunks; ++c) {
       const __m128d v =
           dim < 2 ? _mm_setr_pd(Coord(r, 0), 0.0) : LoadAxes2(r, at[c]);
-      if (kTest == IntervalTest::kBox) {
-        // Unordered-quiet: true for NaN, as the scalar !(v<lo) && !(v>hi).
-        in = _mm_and_pd(in, _mm_and_pd(_mm_cmpnlt_pd(v, lo2[c]),
-                                       _mm_cmpngt_pd(v, hi2[c])));
-      } else {
-        // Ordered: false for NaN, as the scalar lo <= v && v <= hi.
-        in = _mm_and_pd(in, _mm_and_pd(_mm_cmple_pd(lo2[c], v),
-                                       _mm_cmple_pd(v, hi2[c])));
-      }
-      if (kTest == IntervalTest::kOrderedDense) {
-        // v - v is 0 for finite v and NaN for +-inf or NaN.
-        finite = _mm_and_pd(finite, _mm_cmpeq_pd(_mm_sub_pd(v, v), zero));
-      }
+      // Ordered: false for NaN, as the scalar lo <= v && v <= hi.
+      in = _mm_and_pd(in, _mm_and_pd(_mm_cmple_pd(lo2[c], v),
+                                     _mm_cmple_pd(v, hi2[c])));
     }
-    if (kTest == IntervalTest::kOrderedDense &&
-        _mm_movemask_pd(finite) != 0x3) {
-      mask[i] = HalfspacesDense(*set, r) ? 1 : 0;
-    } else {
-      mask[i] = _mm_movemask_pd(in) == 0x3 ? 1 : 0;
-    }
+    mask[i] = _mm_movemask_pd(in) == 0x3 ? 1 : 0;
   }
-}
-
-void BoxSse2(const double* lo, const double* hi, const unsigned char* rows,
-             size_t stride, size_t n, size_t dim, uint8_t* mask) {
-  if (dim > kMaxStagedDim) {
-    BoxScalar(lo, hi, rows, stride, n, dim, mask);
-    return;
-  }
-  IntervalRowsSse2<IntervalTest::kBox>(lo, hi, dim, nullptr, rows, stride, n,
-                                       mask);
 }
 
 void HalfspacesSse2(const HalfspaceSet& set, const unsigned char* rows,
@@ -258,8 +223,7 @@ void HalfspacesSse2(const HalfspaceSet& set, const unsigned char* rows,
     return;
   }
   if (set.is_interval) {
-    IntervalRowsSse2<IntervalTest::kOrderedDense>(
-        set.lo.data(), set.hi.data(), set.dim, &set, rows, stride, n, mask);
+    IntervalRowsSse2(set, rows, stride, n, mask);
     return;
   }
   // Lane l of cols[2j..2j+1] is axis j of row i+l, promoted once per
@@ -410,15 +374,17 @@ __attribute__((target("avx2"))) inline __m256d Promote4(
                         Coord(r3, j));
 }
 
-/// Row-wise interval test, one row per step: the row is promoted four
-/// axes at a time and compared with those axes' bounds, held in
-/// registers (kChunks groups of four, unrolled). A ragged tail re-tests
-/// the last four axes; rows of fewer than four axes load only theirs, and
-/// the other lanes read 0 against (-inf, inf).
-template <size_t kChunks, IntervalTest kTest>
+/// Row-wise interval test of an interval set, one row per step: the row is
+/// promoted four axes at a time and compared (ordered, so NaN fails) with
+/// those axes' kernel bounds, held in registers (kChunks groups of four,
+/// unrolled). A ragged tail re-tests the last four axes; rows of fewer
+/// than four axes load only theirs, and the other lanes read 0 against
+/// (-inf, inf).
+template <size_t kChunks>
 __attribute__((target("avx2"))) void IntervalChunksAvx2(
-    const double* lo, const double* hi, size_t dim, const HalfspaceSet* set,
-    const unsigned char* rows, size_t stride, size_t n, uint8_t* mask) {
+    const HalfspaceSet& set, const unsigned char* rows, size_t stride,
+    size_t n, uint8_t* mask) {
+  const size_t dim = set.dim;
   size_t at[kChunks];
   __m256d lo4[kChunks];
   __m256d hi4[kChunks];
@@ -428,10 +394,10 @@ __attribute__((target("avx2"))) void IntervalChunksAvx2(
     at[c] = dim < 4 ? 0 : std::min(4 * c, dim - 4);
     for (size_t l = 0; l < 4; ++l) {
       const bool real = at[c] + l < dim;
-      lanes_lo[l] =
-          real ? lo[at[c] + l] : -std::numeric_limits<double>::infinity();
-      lanes_hi[l] =
-          real ? hi[at[c] + l] : std::numeric_limits<double>::infinity();
+      lanes_lo[l] = real ? KernelLo(set, at[c] + l)
+                         : -std::numeric_limits<double>::infinity();
+      lanes_hi[l] = real ? KernelHi(set, at[c] + l)
+                         : std::numeric_limits<double>::infinity();
     }
     lo4[c] = _mm256_load_pd(lanes_lo);
     hi4[c] = _mm256_load_pd(lanes_hi);
@@ -441,75 +407,39 @@ __attribute__((target("avx2"))) void IntervalChunksAvx2(
   const bool short_row = dim < 4;
   const __m128i lanes =
       _mm_setr_epi32(-1, dim > 1 ? -1 : 0, dim > 2 ? -1 : 0, 0);
-  const __m256d zero = _mm256_setzero_pd();
   for (size_t i = 0; i < n; ++i) {
     const unsigned char* r = rows + i * stride;
     __m256d in = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-    __m256d finite = in;
     for (size_t c = 0; c < kChunks; ++c) {
       const float* axes = reinterpret_cast<const float*>(r) + at[c];
       const __m256d v = _mm256_cvtps_pd(
           short_row ? _mm_maskload_ps(axes, lanes) : _mm_loadu_ps(axes));
-      if (kTest == IntervalTest::kBox) {
-        // NLT_UQ / NGT_UQ: true on NaN, as the scalar !(v<lo) && !(v>hi).
-        in = _mm256_and_pd(
-            in, _mm256_and_pd(_mm256_cmp_pd(v, lo4[c], _CMP_NLT_UQ),
-                              _mm256_cmp_pd(v, hi4[c], _CMP_NGT_UQ)));
-      } else {
-        // LE_OQ both ways, as the scalar lo <= v && v <= hi.
-        in = _mm256_and_pd(
-            in, _mm256_and_pd(_mm256_cmp_pd(lo4[c], v, _CMP_LE_OQ),
-                              _mm256_cmp_pd(v, hi4[c], _CMP_LE_OQ)));
-      }
-      if (kTest == IntervalTest::kOrderedDense) {
-        // v - v is 0 for finite v and NaN for +-inf or NaN.
-        finite = _mm256_and_pd(
-            finite, _mm256_cmp_pd(_mm256_sub_pd(v, v), zero, _CMP_EQ_OQ));
-      }
+      // LE_OQ both ways, as the scalar lo <= v && v <= hi.
+      in = _mm256_and_pd(
+          in, _mm256_and_pd(_mm256_cmp_pd(lo4[c], v, _CMP_LE_OQ),
+                            _mm256_cmp_pd(v, hi4[c], _CMP_LE_OQ)));
     }
-    if (kTest == IntervalTest::kOrderedDense &&
-        _mm256_movemask_pd(finite) != 0xF) {
-      mask[i] = HalfspacesDense(*set, r) ? 1 : 0;
-    } else {
-      mask[i] = _mm256_movemask_pd(in) == 0xF ? 1 : 0;
-    }
+    mask[i] = _mm256_movemask_pd(in) == 0xF ? 1 : 0;
   }
 }
 
-/// IntervalChunksAvx2 for rows of up to kMaxStagedDim axes.
-template <IntervalTest kTest>
+/// IntervalChunksAvx2 for rows of 1..kMaxStagedDim axes.
 __attribute__((target("avx2"))) void IntervalRowsAvx2(
-    const double* lo, const double* hi, size_t dim, const HalfspaceSet* set,
-    const unsigned char* rows, size_t stride, size_t n, uint8_t* mask) {
-  switch ((dim + 3) / 4) {
-    case 0:  // no axes: every row is inside
-      std::fill(mask, mask + n, uint8_t{1});
-      return;
+    const HalfspaceSet& set, const unsigned char* rows, size_t stride,
+    size_t n, uint8_t* mask) {
+  switch ((set.dim + 3) / 4) {
     case 1:
-      IntervalChunksAvx2<1, kTest>(lo, hi, dim, set, rows, stride, n, mask);
+      IntervalChunksAvx2<1>(set, rows, stride, n, mask);
       return;
     case 2:
-      IntervalChunksAvx2<2, kTest>(lo, hi, dim, set, rows, stride, n, mask);
+      IntervalChunksAvx2<2>(set, rows, stride, n, mask);
       return;
     case 3:
-      IntervalChunksAvx2<3, kTest>(lo, hi, dim, set, rows, stride, n, mask);
+      IntervalChunksAvx2<3>(set, rows, stride, n, mask);
       return;
     default:
-      IntervalChunksAvx2<4, kTest>(lo, hi, dim, set, rows, stride, n, mask);
+      IntervalChunksAvx2<4>(set, rows, stride, n, mask);
   }
-}
-
-__attribute__((target("avx2"))) void BoxAvx2(const double* lo,
-                                             const double* hi,
-                                             const unsigned char* rows,
-                                             size_t stride, size_t n,
-                                             size_t dim, uint8_t* mask) {
-  if (dim > kMaxStagedDim) {
-    BoxScalar(lo, hi, rows, stride, n, dim, mask);
-    return;
-  }
-  IntervalRowsAvx2<IntervalTest::kBox>(lo, hi, dim, nullptr, rows, stride, n,
-                                       mask);
 }
 
 __attribute__((target("avx2"))) void HalfspacesAvx2(const HalfspaceSet& set,
@@ -521,8 +451,7 @@ __attribute__((target("avx2"))) void HalfspacesAvx2(const HalfspaceSet& set,
     return;
   }
   if (set.is_interval) {
-    IntervalRowsAvx2<IntervalTest::kOrderedDense>(
-        set.lo.data(), set.hi.data(), set.dim, &set, rows, stride, n, mask);
+    IntervalRowsAvx2(set, rows, stride, n, mask);
     return;
   }
   const size_t dim = set.dim;
@@ -700,27 +629,24 @@ void SquaredDistanceGather(const double* p, const float* points,
   }
 }
 
-void BoxContainsBatch(const double* lo, const double* hi, const void* rows,
-                      size_t stride, size_t n, size_t dim, uint8_t* mask) {
-  const auto* bytes = static_cast<const unsigned char*>(rows);
-  switch (ActiveSimdTier()) {
-#if defined(MDS_SIMD_HAVE_X86)
-    case SimdTier::kAvx2:
-      BoxAvx2(lo, hi, bytes, stride, n, dim, mask);
-      return;
-    case SimdTier::kSse2:
-      BoxSse2(lo, hi, bytes, stride, n, dim, mask);
-      return;
-#endif
-    default:
-      BoxScalar(lo, hi, bytes, stride, n, dim, mask);
+void BoxContainsBatch(const double* lo, const double* hi, const float* rows,
+                      size_t n, size_t dim, uint8_t* mask) {
+  HalfspaceSet set(dim);
+  std::vector<double> normal(dim, 0.0);
+  for (size_t j = 0; j < dim; ++j) {
+    normal[j] = 1.0;
+    set.Add(normal.data(), hi[j]);
+    normal[j] = -1.0;
+    set.Add(normal.data(), -lo[j]);
+    normal[j] = 0.0;
   }
+  HalfspacesContainBatch(set, rows, dim * sizeof(float), n, mask);
 }
 
 HalfspaceSet::HalfspaceSet(size_t dimension)
     : dim(dimension),
-      lo(dimension, -std::numeric_limits<double>::infinity()),
-      hi(dimension, std::numeric_limits<double>::infinity()) {}
+      lo(dimension, std::numeric_limits<double>::quiet_NaN()),
+      hi(dimension, std::numeric_limits<double>::quiet_NaN()) {}
 
 void HalfspaceSet::Add(const double* normal, double offset) {
   normals.insert(normals.end(), normal, normal + dim);
@@ -732,20 +658,29 @@ void HalfspaceSet::Add(const double* normal, double offset) {
     term_coef.push_back(normal[j]);
   }
   term_end.push_back(static_cast<uint32_t>(term_axis.size()));
+  if (lo.empty()) return;  // an earlier halfspace was general
   // Interval form: one nonzero term with coefficient exactly +-1.0 and a
   // non-NaN offset bounds one axis (see the struct comment).
   const bool unit_term = term_axis.size() == first + 1 &&
                          (term_coef.back() == 1.0 || term_coef.back() == -1.0);
   if (!unit_term || std::isnan(offset)) {
     is_interval = false;
+    lo.clear();
+    hi.clear();
     return;
   }
   const uint32_t axis = term_axis.back();
+  if (std::isnan(lo[axis])) {  // the axis' first halfspace
+    lo[axis] = -std::numeric_limits<double>::infinity();
+    hi[axis] = std::numeric_limits<double>::infinity();
+  }
   if (term_coef.back() == 1.0) {
     hi[axis] = std::min(hi[axis], offset);
   } else {
     lo[axis] = std::max(lo[axis], -offset);
   }
+  is_interval = std::none_of(lo.begin(), lo.end(),
+                             [](double v) { return std::isnan(v); });
 }
 
 void HalfspacesContainBatch(const HalfspaceSet& set, const void* rows,

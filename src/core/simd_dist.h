@@ -7,35 +7,27 @@
 
 namespace mds {
 
-/// Runtime-dispatched SIMD kernels for the three per-row operations every
+/// Runtime-dispatched SIMD kernels for the two per-row operations every
 /// scan hot loop reduces to: squared Euclidean distance from one probe to
 /// many clustered float rows (kd-tree leaf scans, brute-force kNN, the
-/// Voronoi walk), axis-interval containment of many rows in one box (the
-/// box partial-range filter) and membership of many rows in an
-/// intersection of halfspaces (the polyhedron partial-range filter).
+/// Voronoi walk) and membership of many rows in an intersection of
+/// halfspaces (the partial-range filter of every region query; a box is
+/// the halfspace set of Polyhedron::FromBox).
 ///
 /// Bit-exactness contract: every kernel produces results BIT-IDENTICAL to
 /// the scalar reference (`SquaredDistance` in geom/point_set.h,
-/// `Box::Contains` in geom/box.cc, `Halfspace::Contains` in
-/// geom/polyhedron.h) on every input, including NaN and infinity. The
-/// kernels that sum vectorize ACROSS rows — one vector lane per row — so
-/// each lane performs exactly the scalar op sequence (promote float to
-/// double, subtract or scale, multiply, add, in dimension order) in IEEE
-/// double with no FMA contraction and no reassociation. The interval
-/// tests (boxes, and halfspace sets in interval form) only promote and
-/// compare, which is exact in any lane order, so they put one row's axes
-/// in the lanes instead and keep the bounds in registers. Callers may
-/// therefore switch tiers freely without changing any observable result:
-/// neighbor sets, tie ordering and wire bytes are invariant.
+/// `Halfspace::Contains` in geom/polyhedron.h) on every input, including
+/// NaN and infinity. The kernels that sum vectorize ACROSS rows — one
+/// vector lane per row — so each lane performs exactly the scalar op
+/// sequence (promote float to double, subtract or scale, multiply, add, in
+/// dimension order) in IEEE double with no FMA contraction and no
+/// reassociation. The interval test (halfspace sets in interval form) only
+/// promotes and compares, which is exact in any lane order, so it puts one
+/// row's axes in the lanes instead and keeps the bounds in registers.
+/// Callers may therefore switch tiers freely without changing any
+/// observable result: neighbor sets, tie ordering and wire bytes are
+/// invariant.
 ///
-/// Dispatch (modeled on common/crc32c.cc): the tier is detected once via
-/// cpuid, capped by environment —
-///   MDS_NO_SIMD=1            force scalar
-///   MDS_SIMD_TIER=scalar|sse2|avx2   cap at the named tier
-/// — and can be lowered per-process by tests with SetSimdTierForTest.
-/// Binaries are compiled for the baseline target; AVX2 code is emitted
-/// with a function-level target attribute and only reached after the
-/// cpuid check.
 enum class SimdTier {
   kScalar = 0,
   kSse2 = 1,  ///< 2 double lanes (baseline on x86-64)
@@ -67,24 +59,13 @@ void SquaredDistanceGather(const double* p, const float* points,
                            const uint32_t* ids, size_t n, size_t dim,
                            double* d2);
 
-/// Membership kernels read rows through a strided view: row i's
-/// coordinates are `dim` floats starting `i * stride` bytes past `rows`,
-/// at any alignment. A scanner passes a pinned page as it is (the first
-/// coordinate column, stride = the row size) and nothing is copied.
-
-/// mask[i] = 1 iff row i lies in [lo, hi] on every axis, with exactly
-/// Box::Contains semantics: the test is `!(v < lo) && !(v > hi)` per
-/// axis, so a NaN coordinate compares false on both sides and the row
-/// counts as contained.
-void BoxContainsBatch(const double* lo, const double* hi, const void* rows,
-                      size_t stride, size_t n, size_t dim, uint8_t* mask);
-
-/// The same over `n` contiguous rows (stride = dim floats).
-inline void BoxContainsBatch(const double* lo, const double* hi,
-                             const float* rows, size_t n, size_t dim,
-                             uint8_t* mask) {
-  BoxContainsBatch(lo, hi, rows, dim * sizeof(float), n, dim, mask);
-}
+/// mask[i] = 1 iff contiguous row i (dim floats at rows + i*dim) lies in
+/// the box [lo, hi], with Polyhedron::FromBox(Box(lo, hi)).Contains
+/// semantics: a NaN coordinate lies outside every box, and so does a
+/// +-inf one when dim >= 2. Runs HalfspacesContainBatch on the box's
+/// interval form.
+void BoxContainsBatch(const double* lo, const double* hi, const float* rows,
+                      size_t n, size_t dim, uint8_t* mask);
 
 /// An intersection of halfspaces {x : normal . x <= offset}, flattened
 /// once for HalfspacesContainBatch. Each halfspace keeps its dense normal
@@ -92,14 +73,26 @@ inline void BoxContainsBatch(const double* lo, const double* hi,
 /// its nonzero terms (what finite rows are evaluated over). Build it with
 /// Add; the arrays are read-only afterwards.
 ///
-/// Interval form: while every halfspace is `+-x_j <= offset` (exactly one
-/// nonzero term, coefficient exactly +-1.0, offset not NaN — what
-/// Polyhedron::FromBox builds), the set also keeps per-axis bounds
-/// [lo[j], hi[j]]: the max of the lower bounds (-offset of each -x_j
-/// term) and the min of the upper bounds, +-inf on unbounded axes. A
-/// finite row is then inside iff `lo[j] <= x_j && x_j <= hi[j]` on every
-/// axis, which is exact: the sparse sum is 0.0 + c*x_j, promoting and
-/// negating are exact, so -x <= offset <=> x >= -offset.
+/// Interval form: when every halfspace is `+-x_j <= offset` (exactly one
+/// nonzero term, coefficient exactly +-1.0, offset not NaN) and every axis
+/// carries at least one of them — what Polyhedron::FromBox builds — the
+/// set also keeps per-axis bounds [lo[j], hi[j]]: the max of the lower
+/// bounds (-offset of each -x_j term) and the min of the upper bounds,
+/// +-inf on a side no halfspace bounds. A row is then inside iff
+/// `lo[j] <= x_j && x_j <= hi[j]` on every axis, with the bounds clamped
+/// to +-DBL_MAX when dim >= 2, and no row needs the dense sum:
+///  - finite rows: the sparse sum is 0.0 + c*x_j, promoting and negating
+///    are exact, so -x <= offset <=> x >= -offset; the clamp moves no
+///    bound past a float;
+///  - a NaN coordinate fails its own axis' ordered test, as the dense sum
+///    (NaN) fails its halfspace;
+///  - a +-inf coordinate fails its own axis against the clamped bounds;
+///    the dense reference fails it too, since the halfspace of another
+///    axis sums 0 * inf = NaN. In 1-d there is no other axis, and the raw
+///    bounds give exactly Halfspace::Contains.
+/// A set that leaves an axis without a halfspace (the empty set among
+/// them) is not in interval form: there the dense sum may admit a
+/// non-finite row.
 struct HalfspaceSet {
   explicit HalfspaceSet(size_t dimension);
 
@@ -115,9 +108,11 @@ struct HalfspaceSet {
                                     ///< [term_end[h-1], term_end[h])
   std::vector<uint32_t> term_axis;  ///< axis of each nonzero term
   std::vector<double> term_coef;    ///< its normal component
-  bool is_interval = true;          ///< every halfspace is +-x_j <= offset
+  bool is_interval = false;         ///< see "Interval form" above
   std::vector<double> lo;           ///< per-axis bounds, valid iff
-  std::vector<double> hi;           ///< is_interval
+  std::vector<double> hi;           ///< is_interval (NaN while no
+                                    ///< halfspace bounds the axis; empty
+                                    ///< once one is not +-x_j <= offset)
 };
 
 /// mask[i] = 1 iff row i (set.dim floats at rows + i*stride bytes)
@@ -125,11 +120,11 @@ struct HalfspaceSet {
 /// Halfspace::Contains: per halfspace the row is promoted to double and
 /// accumulated from 0.0 in axis order with a multiply then an add (no
 /// FMA), and compared with `s <= offset` (NaN fails). A finite row is
-/// evaluated over the nonzero terms only, or against the interval form's
-/// bounds, which is exact: 0 * x is +-0 for finite x, a sum started at
-/// +0.0 never becomes -0.0, and adding +-0 to any other value leaves it
-/// unchanged. A row with any non-finite coordinate takes the dense
-/// reference, where 0 * inf = NaN must show.
+/// evaluated over the nonzero terms only, which is exact: 0 * x is +-0 for
+/// finite x, a sum started at +0.0 never becomes -0.0, and adding +-0 to
+/// any other value leaves it unchanged. A row with any non-finite
+/// coordinate takes the dense reference, where 0 * inf = NaN must show. A
+/// set in interval form tests every row against its bounds alone.
 void HalfspacesContainBatch(const HalfspaceSet& set, const void* rows,
                             size_t stride, size_t n, uint8_t* mask);
 

@@ -82,7 +82,11 @@ BoxClass Polyhedron::Classify(const Box& box) const {
     double min_dot = 0.0;
     for (size_t j = 0; j < dim_; ++j) {
       double n = h.normal[j];
-      if (n >= 0.0) {
+      // A zero component adds nothing over any box; summing 0 * +-inf
+      // (a box unbounded on that axis) would turn both support values
+      // into NaN and the box into a false "inside".
+      if (n == 0.0) continue;
+      if (n > 0.0) {
         max_dot += n * box.hi(j);
         min_dot += n * box.lo(j);
       } else {

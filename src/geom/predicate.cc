@@ -14,16 +14,4 @@ void PolyhedronPredicate::MatchBatch(const void* rows, size_t stride,
   HalfspacesContainBatch(halfspaces_, rows, stride, n, mask);
 }
 
-void BoxPredicate::MatchBatch(const void* rows, size_t stride, size_t n,
-                              uint8_t* mask) const {
-  BoxContainsBatch(box_->lo().data(), box_->hi().data(), rows, stride, n,
-                   box_->dim(), mask);
-}
-
-BoxClass BoxPredicate::Classify(const Box& box) const {
-  if (box_->ContainsBox(box)) return BoxClass::kInside;
-  if (!box_->Intersects(box)) return BoxClass::kOutside;
-  return BoxClass::kPartial;
-}
-
 }  // namespace mds

@@ -166,9 +166,10 @@ struct DatasetFileOptions {
 /// Reads a CSV of float coordinates for `mdsctl build --csv`: one row per
 /// line, comma-separated, '#' comment lines skipped; every row must have
 /// the same width. A cell that is not a number, or parses to NaN or
-/// +-inf, is InvalidArgument naming its line: the access paths agree on
-/// finite rows only (a box full scan admits a NaN coordinate, the kd
-/// path's polyhedron drops it), so such rows never enter a dataset.
+/// +-inf, is InvalidArgument naming its line: such a row lies in no box
+/// on any access path, its kNN distances are NaN or infinite, and a shard
+/// holding one publishes no routing box (mdsc could never prune it), so
+/// such rows never enter a dataset.
 Result<PointSet> ReadPointCsv(const std::string& path);
 
 /// Writes a complete dataset file: full point set + full kd-tree chains,

@@ -59,12 +59,10 @@ bool CacheableRequest(const protocol::MessageHeader& header) {
   }
 }
 
-/// True for requests a worker may gang into one batch: box-like queries
-/// with no behavior-altering flags. kNN has no access path, and
-/// hinted/skip-corrupt requests take the planner's special branches —
-/// each of those executes alone.
+/// True for requests a worker may gang into one batch: box-like queries.
+/// A gang is one worker handoff; the backend still runs its requests one
+/// by one. kNN and reloads execute alone.
 bool Gangable(const protocol::MessageHeader& header) {
-  if ((header.flags & kUncacheableFlags) != 0) return false;
   switch (header.type) {
     case MessageType::kPointCount:
     case MessageType::kBoxQuery:
@@ -597,7 +595,13 @@ void FrontEnd::CloseConn(const std::shared_ptr<Conn>& conn) {
 
 void FrontEnd::DeliverReply(const std::shared_ptr<Conn>& conn,
                             ReplyFrame frame, bool admitted) {
-  if (admitted && conn->admitted_open > 0) --conn->admitted_open;
+  if (admitted) {
+    // The slot is freed here, on the loop that reads this connection's
+    // next frames: a client that has its reply and pipelines another
+    // request can never find its own old request still counted.
+    if (conn->admitted_open > 0) --conn->admitted_open;
+    ReleaseSlot();
+  }
   if (conn->closed) return;  // peer is gone; the reply has nowhere to go
   counters_.bytes_out.fetch_add(frame.size(), std::memory_order_relaxed);
   // Head then tail, back to back: Flush gathers both into one writev. The

@@ -52,9 +52,10 @@ struct ServerConfig {
   /// connections; more loops only help when frame parsing itself saturates
   /// a core.
   unsigned io_threads = 1;
-  /// Upper bound on contiguous pipelined cache-miss query requests from
-  /// one connection ganged into a single QueryEngine::ExecuteBatch call.
-  /// 1 disables ganging (every request executes alone).
+  /// Upper bound on contiguous pipelined cache-miss box-like requests from
+  /// one connection handed to a worker together (one handoff; the backend
+  /// runs them one by one, in order). 1 disables ganging (every request
+  /// is its own handoff).
   size_t pipeline_batch_max = 64;
   /// Test hook: treat the first N accepted connections as if accept()
   /// had failed with EMFILE (close them, count accept_errors, back off).
@@ -181,13 +182,14 @@ class FrontEnd {
 
   /// Completes an admitted request: records its latency and outcome, then
   /// serializes the reply (status + body encoded by `encode_body` when
-  /// status is OK), posts it to the connection's loop and releases the
-  /// admission slot. Counters are final before the reply is enqueued, so
-  /// a client that has seen its reply sees it in a subsequent stats
-  /// request; the slot is released last, so once Shutdown's drain sees
-  /// nothing in flight every reply has been posted. When
-  /// `cacheable_reply` and the request was tagged for population, the
-  /// encoded reply enters the response cache before it is enqueued.
+  /// status is OK) and posts it to the connection's loop, which releases
+  /// the admission slot when it takes the reply (DeliverReply), also when
+  /// the connection has closed. Counters are final before the reply is
+  /// enqueued, so a client that has seen its reply sees it in a subsequent
+  /// stats request; once Shutdown's drain sees nothing in flight, every
+  /// reply has been handed to its loop. When `cacheable_reply` and the
+  /// request was tagged for population, the encoded reply enters the
+  /// response cache before it is enqueued.
   template <typename EncodeBody>
   void Complete(const Request& req, const Status& status,
                 uint32_t extra_flags, bool cacheable_reply,
@@ -195,7 +197,6 @@ class FrontEnd {
     CountReply(req, status);
     WriteReply(req, status, extra_flags, cacheable_reply,
                std::forward<EncodeBody>(encode_body));
-    ReleaseSlot();
   }
   void CompleteError(const Request& req, const Status& status) {
     Complete(req, status, 0, /*cacheable_reply=*/false, [](WireWriter*) {});
@@ -231,8 +232,9 @@ class FrontEnd {
   /// replies or queued writes remain.
   void StopReading(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
-  /// Loop-thread delivery of an encoded reply frame: queues head then tail
-  /// back to back (one writev gathers both; no payload copy).
+  /// Loop-thread delivery of an encoded reply frame: releases an admitted
+  /// request's slot, then queues head then tail back to back (one writev
+  /// gathers both; no payload copy).
   void DeliverReply(const std::shared_ptr<Conn>& conn, ReplyFrame frame,
                     bool admitted);
   /// Routes an encoded reply frame to the connection's loop (direct when

@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "core/knn.h"
-#include "core/query_engine.h"
 #include "core/query_planner.h"
 
 namespace mds {
@@ -38,15 +37,6 @@ protocol::QueryReply MakeQueryReply(MessageType type, uint64_t limit,
   return reply;
 }
 
-/// The scan policy a request asks for: skip-corrupt from its flags, and
-/// count-only for a point count, whose reply carries no objids.
-RangeScanner::ScanOptions ScanOptionsFor(const protocol::MessageHeader& h) {
-  RangeScanner::ScanOptions scan;
-  scan.skip_corrupt_pages = (h.flags & protocol::kFlagSkipCorrupt) != 0;
-  scan.count_only = h.type == MessageType::kPointCount;
-  return scan;
-}
-
 /// The dataset's routing box as the Health/Reload reply tail carries it.
 protocol::RoutingBox WireRoutingBox(const ServedDataset& dataset) {
   protocol::RoutingBox box;
@@ -62,14 +52,6 @@ protocol::RoutingBox WireRoutingBox(const ServedDataset& dataset) {
 QueryServer::QueryServer(std::shared_ptr<const ServedDataset> dataset,
                          const ServerConfig& config)
     : dataset_(std::move(dataset)), front_(this, config) {}
-
-QueryServer::QueryServer(const ServedDataset* dataset,
-                         const ServerConfig& config)
-    // Aliasing constructor with an empty owner: a non-owning shared_ptr,
-    // preserving the legacy caller-owns-the-dataset contract.
-    : QueryServer(std::shared_ptr<const ServedDataset>(
-                      std::shared_ptr<const void>(), dataset),
-                  config) {}
 
 QueryServer::~QueryServer() { Shutdown(); }
 
@@ -168,22 +150,20 @@ Result<protocol::ReloadReply> QueryServer::Reload(const std::string& path) {
 // --- worker path -------------------------------------------------------------
 
 void QueryServer::Execute(Batch* batch) {
-  if (batch->size() > 1) {
-    HandleBatch(batch);
-    return;
-  }
-  Request* req = &batch->front();
-  if (req->header.type == MessageType::kReload) {
-    HandleReload(req);
-  } else if (req->header.type == MessageType::kKnn) {
-    protocol::KnnReply reply;
-    const Status query_status = ExecuteKnn(*req, &reply);
-    front_.Complete(*req, query_status, 0,
-                    ReplyCacheable(query_status, /*degraded=*/false,
-                                   /*pages_skipped=*/0),
-                    [&](WireWriter* w) { protocol::EncodeKnnReply(reply, w); });
-  } else {
-    ExecuteAndReplyBoxLike(req);
+  for (Request& req : *batch) {
+    if (req.header.type == MessageType::kReload) {
+      HandleReload(&req);
+    } else if (req.header.type == MessageType::kKnn) {
+      protocol::KnnReply reply;
+      const Status query_status = ExecuteKnn(req, &reply);
+      front_.Complete(
+          req, query_status, 0,
+          ReplyCacheable(query_status, /*degraded=*/false,
+                         /*pages_skipped=*/0),
+          [&](WireWriter* w) { protocol::EncodeKnnReply(reply, w); });
+    } else {
+      ExecuteAndReplyBoxLike(&req);
+    }
   }
 }
 
@@ -216,114 +196,17 @@ void QueryServer::HandleReload(Request* req) {
       [&](WireWriter* w) { protocol::EncodeReloadReply(*result, w); });
 }
 
-void QueryServer::HandleBatch(Batch* batch) {
-  // One gang = contiguous pipelined cache-miss box-like requests from one
-  // connection. Each slot's planner picks its access path — the same
-  // choice the sequential path's planner makes — then every chosen path
-  // runs through a single QueryEngine::ExecuteBatch call. Any slot that
-  // cannot take this fast path — decode error, no feasible path, or a
-  // failed execution — drops back to the exact single-request path, so
-  // replies are indistinguishable from sequential execution.
-  struct GangSlot {
-    Request* req = nullptr;
-    // The paths reference (not copy) their query geometry and RNG, so the
-    // slot owns all of it for the duration of ExecuteBatch.
-    std::unique_ptr<Rng> rng;
-    std::unique_ptr<Box> box;
-    std::unique_ptr<Polyhedron> poly;
-    std::unique_ptr<AccessPath> sample;
-    QueryPlanner planner;
-    AccessPath* chosen = nullptr;
-    uint64_t limit = 0;
-  };
-
-  std::vector<GangSlot> slots(batch->size());
-  std::vector<AccessPath*> gang_paths;
-  std::vector<size_t> gang_slots;  // slot index per gang_paths entry
-  QueryEngine::BatchOptions options;
-
-  for (size_t i = 0; i < batch->size(); ++i) {
-    Request* req = &(*batch)[i];
-    GangSlot* slot = &slots[i];
-    slot->req = req;
-    WireReader r(req->body(), req->body_size());
-    const PointTableBinding& binding = req->dataset->binding();
-    if (req->header.type == MessageType::kTableSample) {
-      protocol::TableSampleRequest sample;
-      if (!DecodeTableSampleRequest(&r, &sample).ok() ||
-          !r.ExpectEnd().ok() || sample.lo.size() != req->dataset->dim()) {
-        ExecuteAndReplyBoxLike(req);  // exact sequential error handling
-        continue;
-      }
-      slot->box = std::make_unique<Box>(sample.lo, sample.hi);
-      slot->rng = std::make_unique<Rng>(sample.seed);
-      slot->sample = std::make_unique<TableSamplePath>(
-          binding, *slot->box, sample.percent, sample.n, slot->rng.get());
-      slot->chosen = slot->sample.get();
-    } else {
-      protocol::BoxQueryRequest query;
-      if (!DecodeBoxQueryRequest(&r, &query).ok() || !r.ExpectEnd().ok() ||
-          query.lo.size() != req->dataset->dim()) {
-        ExecuteAndReplyBoxLike(req);
-        continue;
-      }
-      slot->limit = query.limit;
-      slot->box = std::make_unique<Box>(query.lo, query.hi);
-      slot->poly =
-          std::make_unique<Polyhedron>(Polyhedron::FromBox(*slot->box));
-      // The same registrations, in the same order, as ExecuteBoxLike.
-      slot->planner.AddPath(std::make_unique<FullScanPath>(binding, *slot->box))
-          .AddPath(std::make_unique<KdTreePath>(binding, req->dataset->tree(),
-                                                *slot->poly));
-      const Result<size_t> best = slot->planner.ChooseBest();
-      if (!best.ok()) {
-        ExecuteAndReplyBoxLike(req);  // planner's no-feasible-path error
-        continue;
-      }
-      slot->chosen = slot->planner.mutable_path(*best);
-    }
-    gang_paths.push_back(slot->chosen);
-    gang_slots.push_back(i);
-    options.scan.push_back(ScanOptionsFor(req->header));
-  }
-
-  if (gang_paths.empty()) return;
-
-  // Inline on this worker (num_threads=1): parallelism across requests
-  // comes from the worker pool itself — the single MDS_QUERY_THREADS knob
-  // keeps bounding total execution concurrency.
-  options.num_threads = 1;
-  std::vector<QueryStats> stats;
-  std::vector<Result<StorageQueryResult>> results =
-      QueryEngine::ExecuteBatch(gang_paths, options, &stats);
-
-  for (size_t g = 0; g < results.size(); ++g) {
-    GangSlot* slot = &slots[gang_slots[g]];
-    Request* req = slot->req;
-    if (!results[g].ok()) {
-      // Rare (corruption, fault injection): re-run through the planner so
-      // the fallback-and-degrade policy — and the error text — match the
-      // sequential path exactly.
-      ExecuteAndReplyBoxLike(req);
-      continue;
-    }
-    const protocol::QueryReply reply =
-        MakeQueryReply(req->header.type, slot->limit, slot->chosen->name(),
-                       std::move(*results[g]), stats[g]);
-    const uint32_t flags = reply.degraded ? protocol::kFlagDegraded : 0;
-    front_.Complete(
-        *req, Status::OK(), flags,
-        ReplyCacheable(Status::OK(), reply.degraded, reply.pages_skipped),
-        [&](WireWriter* w) { protocol::EncodeQueryReply(reply, w); });
-  }
-}
-
 Status QueryServer::ExecuteBoxLike(const Request& req,
                                    protocol::QueryReply* out) {
   WireReader r(req.body(), req.body_size());
   const PointTableBinding& binding = req.dataset->binding();
 
-  const RangeScanner::ScanOptions scan = ScanOptionsFor(req.header);
+  // Skip-corrupt from the flags; a point count, whose reply carries no
+  // objids, runs count-only.
+  RangeScanner::ScanOptions scan;
+  scan.skip_corrupt_pages =
+      (req.header.flags & protocol::kFlagSkipCorrupt) != 0;
+  scan.count_only = req.header.type == MessageType::kPointCount;
 
   QueryStats stats;
   Result<StorageQueryResult> result =
@@ -352,8 +235,10 @@ Status QueryServer::ExecuteBoxLike(const Request& req,
     Box box(query.lo, query.hi);
     const Polyhedron poly = Polyhedron::FromBox(box);
 
+    // Both candidates filter with the one polyhedron: whichever the
+    // planner picks, a box means the same rows.
     QueryPlanner planner;
-    planner.AddPath(std::make_unique<FullScanPath>(binding, box))
+    planner.AddPath(std::make_unique<FullScanPath>(binding, poly))
         .AddPath(std::make_unique<KdTreePath>(binding, req.dataset->tree(),
                                               poly));
 

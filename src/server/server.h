@@ -18,11 +18,11 @@ namespace mds {
 /// drain, counters, the response cache and reply delivery. This class is
 /// its local-engine Backend: every request binds the served dataset
 /// generation at parse time; workers execute box-like requests through
-/// QueryPlanner/AccessPath (pipelined gangs through one
-/// QueryEngine::ExecuteBatch call, each slot's path chosen by the
-/// planner), kNN through the kd-tree searcher, and kReload through
-/// Reload(). Up to `num_workers` requests execute at once, always on
-/// worker threads, never on an I/O thread.
+/// QueryPlanner/AccessPath, kNN through the kd-tree searcher, and kReload
+/// through Reload() — a pipelined gang request by request, in order,
+/// each on the same path a lone request takes. Up to `num_workers`
+/// requests execute at once, always on worker threads, never on an I/O
+/// thread.
 ///
 /// Admission control: at most max_in_flight requests are in the system;
 /// beyond that, arrivals get an immediate retryable kUnavailable. Each
@@ -47,9 +47,6 @@ class QueryServer : private FrontEnd::Backend {
   /// swaps the served generation mid-flight.
   QueryServer(std::shared_ptr<const ServedDataset> dataset,
               const ServerConfig& config);
-  /// Legacy non-owning form: `dataset` must outlive the server and every
-  /// in-flight request. Reload works only if a handler is set.
-  QueryServer(const ServedDataset* dataset, const ServerConfig& config);
   ~QueryServer() override;
 
   QueryServer(const QueryServer&) = delete;
@@ -112,16 +109,13 @@ class QueryServer : private FrontEnd::Backend {
   protocol::HealthReply Health(const Request& req) const override;
   /// Buffer-pool I/O deltas and the dataset epoch.
   void AddStats(protocol::ServerStatsSnapshot* stats) const override;
+  /// Runs each request of the batch, in order, through the single-request
+  /// path below.
   void Execute(Batch* batch) override;
 
   // --- request path (worker threads) --------------------------------------
   /// Box-like execution of one request through the planner, and its reply.
   void ExecuteAndReplyBoxLike(Request* req);
-  /// Executes a gang through one QueryEngine::ExecuteBatch call. Any slot
-  /// that cannot take the batch fast path (or fails on it) is re-run
-  /// through the exact single-request path, so replies are byte-identical
-  /// to sequential execution.
-  void HandleBatch(Batch* batch);
   /// Executes one admitted kReload request (the load may take seconds and
   /// must never run on an I/O thread).
   void HandleReload(Request* req);

@@ -32,7 +32,7 @@ RangeScanner::RangeScanner(const Table* table, const Layout& layout,
     : table_(table), layout_(layout), options_(options) {}
 
 Status RangeScanner::ScanStep(const PlanStep& step,
-                              const SpatialPredicate& predicate,
+                              const PolyhedronPredicate& predicate,
                               uint64_t limit, QueryStats* stats,
                               ScanOutput* out) {
   for (const RowRange& range : step.ranges) {
@@ -48,7 +48,7 @@ Status RangeScanner::ScanStep(const PlanStep& step,
 }
 
 Status RangeScanner::ScanRange(const RowRange& range,
-                               const SpatialPredicate& predicate,
+                               const PolyhedronPredicate& predicate,
                                uint64_t limit, QueryStats* stats,
                                ScanOutput* out) {
   if (range.begin > range.end || range.end > table_->num_rows()) {
@@ -167,7 +167,7 @@ ParallelRangeScanner::ParallelRangeScanner(
 }
 
 Status ParallelRangeScanner::ScanStep(const PlanStep& step,
-                                      const SpatialPredicate& predicate,
+                                      const PolyhedronPredicate& predicate,
                                       uint64_t limit, QueryStats* stats,
                                       ScanOutput* out) {
   // Range counters come from the original (un-split) step so the parallel

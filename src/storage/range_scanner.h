@@ -132,7 +132,7 @@ class RangeScanner {
   /// row counters in `stats`. `limit` (0 = none) stops the scan exactly
   /// when `out->rows` reaches `limit` — the TOP(n) clause.
   /// Single-threaded per scanner; see class comment.
-  Status ScanStep(const PlanStep& step, const SpatialPredicate& predicate,
+  Status ScanStep(const PlanStep& step, const PolyhedronPredicate& predicate,
                   uint64_t limit, QueryStats* stats, ScanOutput* out);
 
   /// Adds the page fetches/misses this scanner performed since
@@ -143,7 +143,7 @@ class RangeScanner {
   const Table* table() const { return table_; }
 
  private:
-  Status ScanRange(const RowRange& range, const SpatialPredicate& predicate,
+  Status ScanRange(const RowRange& range, const PolyhedronPredicate& predicate,
                    uint64_t limit, QueryStats* stats, ScanOutput* out);
 
   const Table* table_;
@@ -186,7 +186,7 @@ class ParallelRangeScanner {
 
   /// Parallel equivalent of RangeScanner::ScanStep; same contract, same
   /// counters (see class comment for the limit != 0 caveat).
-  Status ScanStep(const PlanStep& step, const SpatialPredicate& predicate,
+  Status ScanStep(const PlanStep& step, const PolyhedronPredicate& predicate,
                   uint64_t limit, QueryStats* stats, ScanOutput* out);
 
   /// Adds the pooled workers' page fetch/miss tallies to `stats` (exactly

@@ -285,69 +285,5 @@ TEST_F(QueryEngineTest, ExecuteBatchPreservesSiblingsOnFailure) {
             std::string::npos);
 }
 
-TEST_F(QueryEngineTest, ExecuteBatchMixesCountOnlyAndMaterializingSlots) {
-  // The server's gang shape: point counts (count-only) and box queries
-  // (materializing) in one ExecuteBatch call, each slot with its own scan
-  // policy. Every count-only slot must match its materializing twin.
-  auto tree = KdTreeIndex::Build(&points_);
-  ASSERT_TRUE(tree.ok());
-  auto kd_table =
-      MaterializePointTable(pool_.get(), points_, tree->clustered_order());
-  auto heap_table = MaterializePointTable(pool_.get(), points_, {});
-  ASSERT_TRUE(kd_table.ok());
-  ASSERT_TRUE(heap_table.ok());
-  const PointTableBinding kd = BindPointTable(&*kd_table, 3);
-  const PointTableBinding heap = BindPointTable(&*heap_table, 3);
-  const std::vector<Polyhedron> queries = {
-      Polyhedron::BallApproximation({0.4, 0.4, 0.4}, 0.1, 12),
-      Polyhedron::BallApproximation({0.8, 0.8, 0.8}, 0.06, 20),
-      Polyhedron::FromBox(Box({0.3, 0.3, 0.3}, {0.5, 0.6, 0.45}))};
-
-  std::vector<std::unique_ptr<AccessPath>> paths;
-  QueryEngine::BatchOptions options;
-  options.num_threads = 2;
-  for (const Polyhedron& q : queries) {
-    for (const bool count_only : {false, true}) {
-      paths.push_back(std::make_unique<KdTreePath>(kd, *tree, q));
-      paths.push_back(std::make_unique<FullScanPath>(heap, q));
-      RangeScanner::ScanOptions scan;
-      scan.count_only = count_only;
-      options.scan.push_back(scan);
-      options.scan.push_back(scan);
-    }
-  }
-  std::vector<QueryStats> stats;
-  auto results = QueryEngine::ExecuteBatch(std::move(paths), options, &stats);
-  ASSERT_EQ(results.size(), 4 * queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const size_t expected = BruteForce(points_, queries[q]).size();
-    for (size_t k = 0; k < 2; ++k) {
-      const size_t full = 4 * q + k;
-      const size_t counted = full + 2;
-      ASSERT_TRUE(results[full].ok());
-      ASSERT_TRUE(results[counted].ok());
-      EXPECT_EQ(results[full]->objids.size(), expected);
-      EXPECT_EQ(results[full]->row_count, expected);
-      EXPECT_EQ(results[counted]->row_count, expected);
-      EXPECT_TRUE(results[counted]->objids.empty());
-      const QueryStats& a = stats[full];
-      const QueryStats& b = stats[counted];
-      EXPECT_EQ(a.plan_steps, b.plan_steps);
-      EXPECT_EQ(a.ranges_full, b.ranges_full);
-      EXPECT_EQ(a.ranges_partial, b.ranges_partial);
-      EXPECT_EQ(a.cells_full, b.cells_full);
-      EXPECT_EQ(a.cells_partial, b.cells_partial);
-      EXPECT_EQ(a.cells_pruned, b.cells_pruned);
-      EXPECT_EQ(a.rows_scanned, b.rows_scanned);
-      EXPECT_EQ(a.rows_tested, b.rows_tested);
-      EXPECT_EQ(a.rows_emitted, b.rows_emitted);
-      EXPECT_EQ(a.pages_fetched, b.pages_fetched);
-      EXPECT_EQ(a.pages_read, b.pages_read);
-      EXPECT_EQ(a.pages_skipped, b.pages_skipped);
-      EXPECT_EQ(a.degraded, b.degraded);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace mds

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -269,7 +270,7 @@ class LiveServerTest : public ::testing::Test {
     config.num_rows = 20000;
     auto built = ServedDataset::Build(config);
     ASSERT_TRUE(built.ok());
-    dataset_ = new ServedDataset(std::move(*built));
+    dataset_ = std::make_shared<ServedDataset>(std::move(*built));
 
     ServerConfig server_config;
     server_config.num_workers = 2;
@@ -294,20 +295,19 @@ class LiveServerTest : public ::testing::Test {
     delete coordinator_;
     delete backend_;
     delete server_;
-    delete dataset_;
+    dataset_.reset();
     coordinator_ = nullptr;
     backend_ = nullptr;
     server_ = nullptr;
-    dataset_ = nullptr;
   }
 
-  static ServedDataset* dataset_;
+  static std::shared_ptr<ServedDataset> dataset_;
   static QueryServer* server_;
   static QueryServer* backend_;
   static Coordinator* coordinator_;
 };
 
-ServedDataset* LiveServerTest::dataset_ = nullptr;
+std::shared_ptr<ServedDataset> LiveServerTest::dataset_;
 QueryServer* LiveServerTest::server_ = nullptr;
 QueryServer* LiveServerTest::backend_ = nullptr;
 Coordinator* LiveServerTest::coordinator_ = nullptr;

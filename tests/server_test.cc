@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -35,12 +40,11 @@ class ServerTest : public ::testing::Test {
     config.num_rows = 50000;
     auto built = ServedDataset::Build(config);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    dataset_ = new ServedDataset(std::move(*built));
+    dataset_ = std::make_shared<ServedDataset>(std::move(*built));
   }
 
   static void TearDownTestSuite() {
-    delete dataset_;
-    dataset_ = nullptr;
+    dataset_.reset();
   }
 
   static QueryClient MustConnect(const QueryServer& server) {
@@ -73,10 +77,10 @@ class ServerTest : public ::testing::Test {
     return out;
   }
 
-  static ServedDataset* dataset_;
+  static std::shared_ptr<ServedDataset> dataset_;
 };
 
-ServedDataset* ServerTest::dataset_ = nullptr;
+std::shared_ptr<ServedDataset> ServerTest::dataset_;
 
 TEST_F(ServerTest, HealthAndPointCountAndBoxQueryMatchEngine) {
   QueryServer server(dataset_, ServerConfig{});
@@ -1159,6 +1163,180 @@ TEST_F(ServerTest, HotSwapUnderConcurrentLoadLosesNoRequests) {
       << "hot swap must lose zero requests";
   EXPECT_EQ(server.Stats().dataset_epoch, second->new_epoch);
   server.Shutdown();
+}
+
+TEST_F(ServerTest, ClosedLoopAtTheAdmissionCapIsNeverShed) {
+  // Four clients pipelining 16 point counts each hold exactly
+  // max_in_flight requests, and each sends its next batch only after the
+  // last reply of the previous one: the cap is never really exceeded. A
+  // slot must therefore be free by the time its reply can be read. Client
+  // 0 reloads every other batch (between its batches, so the reload's own
+  // slot fits too). With the cache on, the batches after a reload miss
+  // and execute (the hot-pipelined shape); with it off, every request
+  // executes.
+  constexpr size_t kClients = 4;
+  constexpr size_t kDepth = 16;
+  DatasetConfig data;
+  data.num_rows = 20000;
+  std::shared_ptr<ServedDataset> generations[2];
+  for (auto& g : generations) {
+    auto built = ServedDataset::Build(data);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    g = std::make_shared<ServedDataset>(std::move(*built));
+  }
+  std::vector<Box> boxes;
+  std::vector<uint64_t> expected;
+  for (size_t i = 0; i < kClients * kDepth; ++i) {
+    boxes.push_back(LocusBox(0.1 + 0.01 * static_cast<double>(i)));
+    uint64_t count = 0;
+    const PointSet& points = generations[0]->points();
+    for (uint64_t r = 0; r < points.size(); ++r) {
+      count += boxes.back().Contains(points.point(r)) ? 1 : 0;
+    }
+    expected.push_back(count);
+  }
+
+  for (const size_t cache_bytes : {size_t{8} << 20, size_t{0}}) {
+    ServerConfig config;
+    config.num_workers = 4;
+    config.max_in_flight = kClients * kDepth;
+    config.cache_bytes = cache_bytes;
+    QueryServer server(generations[0], config);
+    std::atomic<size_t> reloads{0};
+    server.SetReloadHandler(
+        [&](const std::string&) -> Result<std::shared_ptr<ServedDataset>> {
+          return generations[(reloads.fetch_add(1) + 1) % 2];
+        });
+    ASSERT_TRUE(server.Start().ok());
+
+    std::atomic<uint64_t> failed{0};
+    std::atomic<uint64_t> wrong{0};
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        auto client = QueryClient::Connect("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok());
+        const std::vector<Box> mine(boxes.begin() + c * kDepth,
+                                    boxes.begin() + (c + 1) * kDepth);
+        for (int batch = 0; batch < 150; ++batch) {
+          auto counts = client->PointCountPipeline(mine);
+          for (size_t i = 0; i < counts.size(); ++i) {
+            if (!counts[i].ok()) {
+              failed.fetch_add(1);
+            } else if (*counts[i] != expected[c * kDepth + i]) {
+              wrong.fetch_add(1);
+            }
+          }
+          if (c == 0 && batch % 2 == 1) {
+            QueryClient::Options slow;
+            slow.deadline_ms = 60000;
+            if (!client->Reload("", slow).ok()) failed.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+
+    const protocol::ServerStatsSnapshot stats = server.Stats();
+    EXPECT_EQ(failed.load(), 0u) << "cache_bytes=" << cache_bytes;
+    EXPECT_EQ(wrong.load(), 0u) << "cache_bytes=" << cache_bytes;
+    EXPECT_EQ(stats.rejected_overload, 0u) << "cache_bytes=" << cache_bytes;
+    EXPECT_EQ(reloads.load(), 75u);
+    server.Shutdown();
+  }
+}
+
+TEST_F(ServerTest, NonFiniteRowsMeanOneThingOnEveryPath) {
+  // A dataset built through the library API may hold NaN and +-inf
+  // coordinates. A box means its Polyhedron::FromBox on every path: the
+  // hinted full scan and the hinted kd index, one request at a time or
+  // pipelined, must all return exactly the brute-force rows of the
+  // polyhedron, which admits no non-finite coordinate (dim >= 2).
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), kInf,
+                            -kInf};
+  PointSet points(3, 0);
+  for (uint32_t i = 0; i < 6000; ++i) {
+    float row[3] = {static_cast<float>(i % 23), static_cast<float>(i % 29),
+                    static_cast<float>(i % 31) * 0.5f};
+    if (i % 7 == 0) row[(i / 7) % 3] = specials[(i / 21) % 3];
+    if (i % 101 == 0) {
+      for (float& v : row) v = specials[i % 3];
+    }
+    points.Append(row);
+  }
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mds_server_nonfinite_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "nonfinite.mds").string();
+  DatasetFileOptions options;
+  options.ingest = &points;
+  ASSERT_TRUE(WriteDatasetFile(options, path).ok());
+  auto loaded = ServedDataset::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ServerConfig config;
+  config.num_workers = 2;
+  QueryServer server(std::make_shared<ServedDataset>(std::move(*loaded)),
+                     config);
+  ASSERT_TRUE(server.Start().ok());
+  QueryClient client = MustConnect(server);
+
+  // Boxes from most of the grid (whole kd leaves inside, holding special
+  // rows) down to a few cells.
+  const std::vector<Box> boxes = {
+      Box({-1, -1, -1}, {30, 30, 20}), Box({0, 0, 0}, {22, 28, 15}),
+      Box({2, 3, 1}, {20, 25, 12}),    Box({5, 5, 2}, {9, 9, 6}),
+      Box({11, 0, 0}, {11, 28, 15}),   Box({40, 40, 40}, {50, 50, 50})};
+  std::vector<std::vector<int64_t>> expected;
+  size_t nonempty = 0;
+  for (const Box& box : boxes) {
+    const Polyhedron poly = Polyhedron::FromBox(box);
+    expected.emplace_back();
+    for (uint64_t i = 0; i < points.size(); ++i) {
+      if (poly.Contains(points.point(i))) {
+        expected.back().push_back(static_cast<int64_t>(i));
+      }
+    }
+    nonempty += expected.back().empty() ? 0 : 1;
+  }
+  ASSERT_GE(nonempty, 4u);
+  auto sorted = [](std::vector<int64_t> ids) {
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+
+  for (const bool index : {false, true}) {
+    QueryOptions hint;
+    hint.force_full_scan = !index;
+    hint.force_index = index;
+    const char* path_name = index ? "kd-tree" : "full-scan";
+    for (size_t b = 0; b < boxes.size(); ++b) {
+      auto rows = client.BoxQuery(boxes[b], 0, hint);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(rows->chosen_path, path_name);
+      EXPECT_EQ(sorted(rows->objids), expected[b]) << path_name << " " << b;
+      auto count = client.PointCount(boxes[b], hint);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(*count, expected[b].size()) << path_name << " " << b;
+    }
+    auto rows = client.BoxQueryPipeline(boxes, 0, hint);
+    auto counts = client.PointCountPipeline(boxes, hint);
+    ASSERT_EQ(rows.size(), boxes.size());
+    ASSERT_EQ(counts.size(), boxes.size());
+    for (size_t b = 0; b < boxes.size(); ++b) {
+      ASSERT_TRUE(rows[b].ok()) << rows[b].status().ToString();
+      EXPECT_EQ(rows[b]->chosen_path, path_name);
+      EXPECT_EQ(sorted(rows[b]->objids), expected[b])
+          << "pipelined " << path_name << " " << b;
+      ASSERT_TRUE(counts[b].ok()) << counts[b].status().ToString();
+      EXPECT_EQ(*counts[b], expected[b].size())
+          << "pipelined " << path_name << " " << b;
+    }
+  }
+  server.Shutdown();
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
 }
 
 }  // namespace

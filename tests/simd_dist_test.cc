@@ -233,49 +233,76 @@ TEST(SimdDist, GatherMatchesBatchOnShuffledIds) {
   }
 }
 
-TEST(SimdDist, BoxContainsBatchMatchesBoxContains) {
+TEST(SimdDist, BoxContainsBatchMatchesFromBoxContains) {
+  // A box means its Polyhedron::FromBox: NaN coordinates lie outside, and
+  // +-inf ones too once there is a second axis. Rows mix in/out/boundary
+  // values with NaN, +-inf and FLT_MAX; bounds include +-inf.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   uint64_t state = 5;
-  for (size_t dim = 1; dim <= 8; ++dim) {
-    std::vector<double> lo(dim), hi(dim);
-    for (size_t j = 0; j < dim; ++j) {
-      double a = static_cast<double>(SplitMix(&state) % 200) - 100.0;
-      double b = static_cast<double>(SplitMix(&state) % 200) - 100.0;
-      lo[j] = std::min(a, b);
-      hi[j] = std::max(a, b);
-    }
-    Box box(lo, hi);
-    for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{8}, size_t{63},
-                     size_t{200}}) {
-      std::vector<float> rows(n * dim);
-      for (size_t i = 0; i < rows.size(); ++i) {
-        // Dense coverage of in/out/boundary plus NaN coordinates (which
-        // Box::Contains counts as contained: NaN compares false against
-        // both bounds).
-        const uint64_t r = SplitMix(&state);
-        if (r % 23 == 0) {
-          rows[i] = std::numeric_limits<float>::quiet_NaN();
-        } else if (r % 23 == 1) {
-          const size_t j = i % dim;
-          rows[i] = static_cast<float>((r & 1) ? lo[j] : hi[j]);  // boundary
-        } else {
-          rows[i] = static_cast<float>(r % 300) - 150.0f;
+  uint64_t inside = 0;
+  uint64_t outside = 0;
+  for (size_t dim = 1; dim <= 18; ++dim) {
+    for (int shape = 0; shape < 3; ++shape) {
+      std::vector<double> lo(dim), hi(dim);
+      for (size_t j = 0; j < dim; ++j) {
+        const double a = static_cast<double>(SplitMix(&state) % 200) - 100.0;
+        const double b = static_cast<double>(SplitMix(&state) % 200) - 100.0;
+        lo[j] = std::min(a, b);
+        hi[j] = std::max(a, b);
+        // Shape 1 opens some sides to +-inf; shape 2 opens every side of
+        // the first axis, the box that admits an infinite coordinate in
+        // 1-d.
+        if (shape == 1 && SplitMix(&state) % 3 == 0) lo[j] = -kInf;
+        if (shape == 1 && SplitMix(&state) % 3 == 0) hi[j] = kInf;
+        if (shape == 2 && j == 0) {
+          lo[j] = -kInf;
+          hi[j] = kInf;
         }
       }
-      for (SimdTier tier : ReachableTiers()) {
-        TierGuard guard(tier);
-        std::vector<uint8_t> mask(n, 0xCC);
-        BoxContainsBatch(lo.data(), hi.data(), rows.data(), n, dim,
-                         mask.data());
+      const Polyhedron poly = Polyhedron::FromBox(Box(lo, hi));
+      for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{8},
+                       size_t{63}, size_t{200}}) {
+        std::vector<float> rows(n * dim);
+        for (size_t i = 0; i < rows.size(); ++i) {
+          const uint64_t r = SplitMix(&state);
+          const size_t j = i % dim;
+          if (r % 23 == 0) {
+            rows[i] = std::numeric_limits<float>::quiet_NaN();
+          } else if (r % 23 == 1) {
+            rows[i] = (r & 1) ? std::numeric_limits<float>::infinity()
+                              : -std::numeric_limits<float>::infinity();
+          } else if (r % 23 == 2) {
+            rows[i] = (r & 1) ? std::numeric_limits<float>::max()
+                              : -std::numeric_limits<float>::max();
+          } else if (r % 23 == 3 && std::isfinite(lo[j]) &&
+                     std::isfinite(hi[j])) {
+            rows[i] = static_cast<float>((r & 1) ? lo[j] : hi[j]);
+          } else {
+            rows[i] = static_cast<float>(r % 300) - 150.0f;
+          }
+        }
+        std::vector<uint8_t> expected(n);
         for (size_t i = 0; i < n; ++i) {
-          const uint8_t expected =
-              box.Contains(rows.data() + i * dim) ? 1 : 0;
-          ASSERT_EQ(mask[i], expected)
-              << "tier=" << SimdTierName(tier) << " dim=" << dim
-              << " n=" << n << " i=" << i;
+          expected[i] = poly.Contains(rows.data() + i * dim) ? 1 : 0;
+          (expected[i] ? inside : outside) += 1;
+        }
+        for (SimdTier tier : ReachableTiers()) {
+          TierGuard guard(tier);
+          std::vector<uint8_t> mask(n, 0xCC);
+          BoxContainsBatch(lo.data(), hi.data(), rows.data(), n, dim,
+                           mask.data());
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(mask[i], expected[i])
+                << "tier=" << SimdTierName(tier) << " dim=" << dim
+                << " shape=" << shape << " n=" << n << " i=" << i;
+          }
         }
       }
     }
   }
+  // Both outcomes occur: the boxes neither admit nor reject every row.
+  EXPECT_GT(inside, 500u);
+  EXPECT_GT(outside, 1000u);
 }
 
 /// A normal component: ordinary values mixed with +0, -0 and denormals.
@@ -428,8 +455,6 @@ TEST(SimdDist, StridedKernelsMatchContiguous) {
   uint64_t outside = 0;
   for (size_t dim = 1; dim <= 18; ++dim) {
     std::vector<Polyhedron> polys = TestPolyhedra(dim, &state);
-    const Box box(std::vector<double>(dim, -150.0),
-                  std::vector<double>(dim, 150.0));
     std::vector<HalfspaceSet> sets;
     for (const Polyhedron& poly : polys) {
       sets.emplace_back(dim);
@@ -443,33 +468,18 @@ TEST(SimdDist, StridedKernelsMatchContiguous) {
       for (SimdTier tier : ReachableTiers()) {
         TierGuard guard(tier);
         // The contiguous answers, as the kernels gave them before strides.
-        std::vector<uint8_t> box_expected(n, 0xCC);
-        BoxContainsBatch(box.lo().data(),
-                         box.hi().data(), rows.data(), n, dim,
-                         box_expected.data());
         std::vector<std::vector<uint8_t>> poly_expected;
         for (const HalfspaceSet& set : sets) {
           poly_expected.emplace_back(n, 0xCC);
           HalfspacesContainBatch(set, rows.data(), dim * sizeof(float), n,
                                  poly_expected.back().data());
-        }
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(box_expected[i],
-                    box.Contains(rows.data() + i * dim) ? 1 : 0);
-          (box_expected[i] ? inside : outside) += 1;
+          for (uint8_t in : poly_expected.back()) (in ? inside : outside) += 1;
         }
         for (size_t stride : TestStrides(dim)) {
           for (size_t start : {size_t{0}, size_t{1}, size_t{3}, size_t{8}}) {
             const std::vector<unsigned char> strided =
                 StridedCopy(rows.data(), n, dim, stride, start);
             const unsigned char* base = strided.data() + start;
-            std::vector<uint8_t> mask(n, 0xCC);
-            BoxContainsBatch(box.lo().data(),
-                             box.hi().data(), base, stride, n,
-                             dim, mask.data());
-            ASSERT_EQ(mask, box_expected)
-                << "box tier=" << SimdTierName(tier) << " dim=" << dim
-                << " n=" << n << " stride=" << stride << " start=" << start;
             for (size_t k = 0; k < sets.size(); ++k) {
               std::vector<uint8_t> poly_mask(n, 0xCC);
               HalfspacesContainBatch(sets[k], base, stride, n,
@@ -484,7 +494,7 @@ TEST(SimdDist, StridedKernelsMatchContiguous) {
       }
     }
   }
-  // Both outcomes occur: the box neither admits nor rejects every row.
+  // Both outcomes occur: the polyhedra neither admit nor reject every row.
   EXPECT_GT(inside, 1000u);
   EXPECT_GT(outside, 1000u);
 }
@@ -540,7 +550,9 @@ TEST(SimdDist, IntervalFormIsExactAndOnlyForUnitAxisHalfspaces) {
     EXPECT_EQ(set.hi, hi);
 
     // Infinite bounds, unbounded axes and two halfspaces on one axis: the
-    // tighter bound of each side wins.
+    // tighter bound of each side wins. Past 2-d the set leaves axes
+    // without a halfspace, so it is not in interval form (the dense sum
+    // admits some non-finite rows there).
     Polyhedron mixed(dim);
     mixed.AddHalfspace(axis(0, 1.0), kInf);
     mixed.AddHalfspace(axis(0, -1.0), 40.0);
@@ -549,7 +561,7 @@ TEST(SimdDist, IntervalFormIsExactAndOnlyForUnitAxisHalfspaces) {
     mixed.AddHalfspace(axis(0, 1.0), 70.0);
     if (dim > 1) mixed.AddHalfspace(axis(dim - 1, -1.0), kInf);
     set = ExpectMatchesContains(mixed, rows, "infinite bounds");
-    EXPECT_TRUE(set.is_interval);
+    EXPECT_EQ(set.is_interval, dim <= 2);
     EXPECT_EQ(set.lo[0], -12.5);
     EXPECT_EQ(set.hi[0], 55.0);
     if (dim > 1) {
@@ -557,10 +569,12 @@ TEST(SimdDist, IntervalFormIsExactAndOnlyForUnitAxisHalfspaces) {
       EXPECT_EQ(set.hi[dim - 1], kInf);
     }
 
-    // A -inf upper bound empties the region for finite rows.
+    // A -inf upper bound empties the region for finite rows; it bounds
+    // one axis only.
     Polyhedron empty(dim);
     empty.AddHalfspace(axis(dim - 1, 1.0), -kInf);
-    EXPECT_TRUE(ExpectMatchesContains(empty, rows, "-inf bound").is_interval);
+    EXPECT_EQ(ExpectMatchesContains(empty, rows, "-inf bound").is_interval,
+              dim == 1);
 
     // +-0 offsets: x <= +0, -x <= -0, x <= -0, -x <= +0 on one axis each.
     Polyhedron zeros(dim);
@@ -568,7 +582,12 @@ TEST(SimdDist, IntervalFormIsExactAndOnlyForUnitAxisHalfspaces) {
     zeros.AddHalfspace(axis(0, -1.0), -0.0);
     zeros.AddHalfspace(axis(dim - 1, 1.0), -0.0);
     zeros.AddHalfspace(axis(dim - 1, -1.0), 0.0);
-    EXPECT_TRUE(ExpectMatchesContains(zeros, rows, "+-0 offsets").is_interval);
+    EXPECT_EQ(ExpectMatchesContains(zeros, rows, "+-0 offsets").is_interval,
+              dim <= 2);
+
+    // No halfspace at all: every row is inside, NaN and +-inf among them.
+    EXPECT_FALSE(ExpectMatchesContains(Polyhedron(dim), rows, "no halfspaces")
+                     .is_interval);
 
     // Only coefficients of exactly +-1 may take the interval form: 0.5 x
     // or 2 x round differently from x against a scaled offset.
